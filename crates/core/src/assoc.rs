@@ -19,7 +19,9 @@ use crate::rate::Kbps;
 ///
 /// `None` means the user is unsatisfied — it receives no multicast service.
 /// This type is plain data; all load computations take the [`Instance`]
-/// explicitly (or use the incremental [`LoadLedger`]).
+/// explicitly and run in one O(users + APs × sessions) sweep
+/// ([`Association::session_rates`]), or use the incremental
+/// [`LoadLedger`].
 ///
 /// Storage is 4 bytes per user: a bare `u32` AP index with a sentinel for
 /// "unsatisfied", half the footprint of the former `Vec<Option<ApId>>`
@@ -37,7 +39,7 @@ use crate::rate::Kbps;
 /// assoc.set(UserId(0), Some(ApId(0)));
 /// assoc.set(UserId(2), Some(ApId(0)));
 /// // a1 serves session s1 at min(3, 4) = 3 Mbps: load 1/3.
-/// assert_eq!(assoc.ap_load(ApId(0), &inst), Load::from_ratio(1, 3));
+/// assert_eq!(assoc.loads(&inst)[0], Load::from_ratio(1, 3));
 /// assert_eq!(assoc.satisfied_count(), 2);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -196,43 +198,53 @@ impl Association {
         self.iter().collect()
     }
 
-    /// The members of AP `a` requesting session `s`.
-    pub fn members_of(&self, a: ApId, s: SessionId, inst: &Instance) -> Vec<UserId> {
-        self.by_user
-            .iter()
-            .enumerate()
-            .filter(|(u, &ap)| ap == a.0 && inst.user_session(UserId(*u as u32)) == s)
-            .map(|(u, _)| UserId(u as u32))
-            .collect()
+    /// The per-(AP, session) transmission rates of this association, from
+    /// one sweep over the users: O(users + APs × sessions).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a user is associated with an AP out of its range.
+    pub fn session_rates<'a>(&self, inst: &'a Instance) -> SessionRates<'a> {
+        self.sweep(inst, |_, _| {})
+            .unwrap_or_else(|e| panic!("associated user must be in range: {e}"))
     }
 
-    /// The rate AP `a` must use for session `s` — the minimum multicast
-    /// rate over its members for `s` — or `None` if it serves no such member.
-    pub fn ap_session_rate(&self, a: ApId, s: SessionId, inst: &Instance) -> Option<Kbps> {
-        self.by_user
-            .iter()
-            .enumerate()
-            .filter(|(u, &ap)| ap == a.0 && inst.user_session(UserId(*u as u32)) == s)
-            .map(|(u, _)| {
-                inst.multicast_rate_to(a, UserId(u as u32))
-                    .expect("associated user must be in range")
-            })
-            .min()
+    /// The one pass every load query shares: builds the per-(AP, session)
+    /// minimum member rate, calling `member(slot, rate_idx)` for each
+    /// associated user (the ledger counts members through it).
+    ///
+    /// # Errors
+    ///
+    /// [`AssocError::OutOfRange`] for the first user, in id order, that is
+    /// associated with an AP it cannot hear.
+    fn sweep<'a>(
+        &self,
+        inst: &'a Instance,
+        mut member: impl FnMut(usize, usize),
+    ) -> Result<SessionRates<'a>, AssocError> {
+        let mut rates = SessionRates {
+            inst,
+            min_rate: vec![NO_RATE; inst.n_aps() * inst.n_sessions()],
+        };
+        for (u, &ap) in self.by_user.iter().enumerate() {
+            if ap == NO_AP {
+                continue;
+            }
+            let (u, a) = (UserId(u as u32), ApId(ap));
+            let rate = inst
+                .multicast_rate_to(a, u)
+                .ok_or(AssocError::OutOfRange { user: u, ap: a })?;
+            let slot = rates.slot(a, inst.user_session(u));
+            let idx = rate_idx(inst, rate);
+            member(slot, idx);
+            rates.min_rate[slot] = rates.min_rate[slot].min(idx as u32);
+        }
+        Ok(rates)
     }
 
-    /// The multicast load of AP `a` (Definition 1).
-    pub fn ap_load(&self, a: ApId, inst: &Instance) -> Load {
-        inst.sessions()
-            .filter_map(|s| {
-                self.ap_session_rate(a, s, inst)
-                    .map(|tx| Load::per_transmission(inst.session_rate(s), tx))
-            })
-            .sum()
-    }
-
-    /// All AP loads, indexable by `ApId::index`.
+    /// All AP loads (Definition 1), indexable by `ApId::index`.
     pub fn loads(&self, inst: &Instance) -> Vec<Load> {
-        inst.aps().map(|a| self.ap_load(a, inst)).collect()
+        self.session_rates(inst).loads()
     }
 
     /// The total multicast load of the network.
@@ -249,7 +261,9 @@ impl Association {
     ///
     /// # Errors
     ///
-    /// See [`AssocError`].
+    /// See [`AssocError`]: the wrong size first, then the first
+    /// out-of-range user in id order, then the first over-budget AP in id
+    /// order.
     pub fn validate(&self, inst: &Instance) -> Result<(), AssocError> {
         if self.by_user.len() != inst.n_users() {
             return Err(AssocError::WrongSize {
@@ -257,27 +271,15 @@ impl Association {
                 expected: inst.n_users(),
             });
         }
-        for (u, ap) in self.iter().enumerate() {
-            if let Some(a) = ap {
-                if inst.link_rate(a, UserId(u as u32)).is_none() {
-                    return Err(AssocError::OutOfRange {
-                        user: UserId(u as u32),
-                        ap: a,
-                    });
-                }
-            }
+        let loads = self.sweep(inst, |_, _| {})?.loads();
+        match inst.aps().find(|&a| loads[a.index()] > inst.budget(a)) {
+            Some(a) => Err(AssocError::OverBudget {
+                ap: a,
+                load: loads[a.index()],
+                budget: inst.budget(a),
+            }),
+            None => Ok(()),
         }
-        for a in inst.aps() {
-            let load = self.ap_load(a, inst);
-            if load > inst.budget(a) {
-                return Err(AssocError::OverBudget {
-                    ap: a,
-                    load,
-                    budget: inst.budget(a),
-                });
-            }
-        }
-        Ok(())
     }
 
     /// True if [`validate`](Association::validate) passes.
@@ -308,6 +310,75 @@ impl Association {
     }
 }
 
+/// The transmission rate of every (AP, session) pair under an
+/// association: the minimum multicast rate over the AP's members of the
+/// session (Definition 1), or none when the AP serves no such member.
+///
+/// Built by [`Association::session_rates`] in one sweep over the users and
+/// kept live by [`LoadLedger`]; every AP-load query in the crate reads it.
+///
+/// # Example
+///
+/// ```
+/// use mcast_core::examples_paper::figure1_instance;
+/// use mcast_core::{ApId, Association, Kbps, Load, SessionId, UserId};
+///
+/// let inst = figure1_instance(Kbps::from_mbps(1));
+/// let mut assoc = Association::empty(inst.n_users());
+/// assoc.set(UserId(0), Some(ApId(0)));
+/// assoc.set(UserId(2), Some(ApId(0)));
+/// let rates = assoc.session_rates(&inst);
+/// // a1 serves session s1 at min(3, 4) = 3 Mbps: load 1/3.
+/// assert_eq!(rates.rate(ApId(0), SessionId(0)), Some(Kbps::from_mbps(3)));
+/// assert_eq!(rates.ap_load(ApId(0)), Load::from_ratio(1, 3));
+/// ```
+#[derive(Debug, Clone)]
+pub struct SessionRates<'a> {
+    inst: &'a Instance,
+    /// Per (AP, session): index of the minimum member rate in the
+    /// supported-rate set, or [`NO_RATE`] when the slot has no members.
+    min_rate: Vec<u32>,
+}
+
+/// Sentinel for an empty (AP, session) slot in [`SessionRates::min_rate`].
+const NO_RATE: u32 = u32::MAX;
+
+/// Index of `rate` in the instance's discrete supported-rate set.
+fn rate_idx(inst: &Instance, rate: Kbps) -> usize {
+    inst.supported_rates()
+        .binary_search(&rate)
+        .expect("multicast rate is in the supported set")
+}
+
+impl SessionRates<'_> {
+    fn slot(&self, a: ApId, s: SessionId) -> usize {
+        a.index() * self.inst.n_sessions() + s.index()
+    }
+
+    /// The rate AP `a` transmits session `s` at, if it serves it.
+    pub fn rate(&self, a: ApId, s: SessionId) -> Option<Kbps> {
+        let m = self.min_rate[self.slot(a, s)];
+        (m != NO_RATE).then(|| self.inst.supported_rates()[m as usize])
+    }
+
+    /// The multicast load of AP `a`: `Σ stream(s) / rate(a, s)` over the
+    /// sessions it serves.
+    pub fn ap_load(&self, a: ApId) -> Load {
+        self.inst
+            .sessions()
+            .filter_map(|s| {
+                self.rate(a, s)
+                    .map(|tx| Load::per_transmission(self.inst.session_rate(s), tx))
+            })
+            .sum()
+    }
+
+    /// All AP loads, indexable by `ApId::index`.
+    pub fn loads(&self) -> Vec<Load> {
+        self.inst.aps().map(|a| self.ap_load(a)).collect()
+    }
+}
+
 /// Incrementally maintained load state used by the distributed algorithms:
 /// O(1) joins/leaves and load queries, plus *hypothetical* deltas ("what
 /// would AP `a`'s load be if I joined / if I left?") that the paper's
@@ -315,9 +386,12 @@ impl Association {
 ///
 /// The per-(AP, session) member-rate multiset is a fixed-size count array
 /// over the instance's discrete supported-rate set (~8 entries for
-/// 802.11a) with a cached minimum-occupied index, so `ap_session_rate`,
-/// `load_if_joined` and move application never walk members or tree
-/// nodes. The original `BTreeMap`-multiset implementation is preserved as
+/// 802.11a) with a cached minimum-occupied index (a live
+/// [`SessionRates`]), so `ap_session_rate`, `load_if_joined` and move
+/// application never walk members or tree nodes. [`LoadLedger::new`]
+/// builds all of it in the same single sweep over the users as
+/// [`Association::loads`]. The original `BTreeMap`-multiset
+/// implementation is preserved as
 /// [`reference::ReferenceLedger`](crate::reference::ReferenceLedger), and
 /// `repro bench` plus the equivalence proptests pin the two to identical
 /// outputs.
@@ -346,18 +420,14 @@ pub struct LoadLedger<'a> {
     /// is the number of members of session `s` on AP `a` whose multicast
     /// rate is `supported_rates()[rate_idx]`.
     counts: Vec<u32>,
-    /// Per (AP, session): index of the minimum occupied rate in the
-    /// supported-rate set, or [`NO_RATE`] when the slot has no members.
-    min_rate: Vec<u32>,
+    /// The minimum occupied rate of each slot, kept in step with `counts`.
+    rates: SessionRates<'a>,
     ap_load: Vec<Load>,
     n_rates: usize,
 }
 
-/// Sentinel for an empty (AP, session) slot in [`LoadLedger::min_rate`].
-const NO_RATE: u32 = u32::MAX;
-
 impl<'a> LoadLedger<'a> {
-    /// Starts from an existing association.
+    /// Starts from an existing association, in one sweep over its users.
     ///
     /// # Panics
     ///
@@ -367,38 +437,23 @@ impl<'a> LoadLedger<'a> {
     pub fn new(inst: &'a Instance, assoc: Association) -> LoadLedger<'a> {
         assert_eq!(assoc.len(), inst.n_users(), "association size");
         let n_rates = inst.supported_rates().len();
-        let slots = inst.n_aps() * inst.n_sessions();
-        let mut ledger = LoadLedger {
+        let mut counts = vec![0; inst.n_aps() * inst.n_sessions() * n_rates];
+        let rates = assoc
+            .sweep(inst, |slot, idx| counts[slot * n_rates + idx] += 1)
+            .unwrap_or_else(|e| panic!("{e}"));
+        LoadLedger {
             inst,
-            assoc: Association::empty(inst.n_users()),
-            counts: vec![0; slots * n_rates],
-            min_rate: vec![NO_RATE; slots],
-            ap_load: vec![Load::ZERO; inst.n_aps()],
+            counts,
+            ap_load: rates.loads(),
+            rates,
+            assoc,
             n_rates,
-        };
-        for (u, ap) in assoc.iter().enumerate() {
-            if let Some(a) = ap {
-                ledger.join(UserId(u as u32), a);
-            }
         }
-        ledger
     }
 
     /// Starts with every user unsatisfied.
     pub fn fresh(inst: &'a Instance) -> LoadLedger<'a> {
         LoadLedger::new(inst, Association::empty(inst.n_users()))
-    }
-
-    fn slot(&self, a: ApId, s: SessionId) -> usize {
-        a.index() * self.inst.n_sessions() + s.index()
-    }
-
-    /// Index of `rate` in the instance's discrete supported-rate set.
-    fn rate_idx(&self, rate: Kbps) -> usize {
-        self.inst
-            .supported_rates()
-            .binary_search(&rate)
-            .expect("multicast rate is in the supported set")
     }
 
     /// The load AP `a` currently carries.
@@ -433,8 +488,7 @@ impl<'a> LoadLedger<'a> {
 
     /// The transmission rate AP `a` uses for session `s`, if it serves it.
     pub fn ap_session_rate(&self, a: ApId, s: SessionId) -> Option<Kbps> {
-        let m = self.min_rate[self.slot(a, s)];
-        (m != NO_RATE).then(|| self.inst.supported_rates()[m as usize])
+        self.rates.rate(a, s)
     }
 
     /// The load AP `a` would have if user `u` joined it (without joining).
@@ -445,12 +499,13 @@ impl<'a> LoadLedger<'a> {
         let u_rate = self.inst.multicast_rate_to(a, u)?;
         let stream = self.inst.session_rate(s);
         let cur = self.ap_session_rate(a, s);
-        let new_tx = match cur {
-            Some(tx) => tx.min(u_rate),
-            None => u_rate,
+        let old_part = match cur {
+            // A member no slower than the session's rate rides for free.
+            Some(tx) if u_rate >= tx => return Some(self.ap_load[a.index()]),
+            Some(tx) => Load::per_transmission(stream, tx),
+            None => Load::ZERO,
         };
-        let old_part = cur.map_or(Load::ZERO, |tx| Load::per_transmission(stream, tx));
-        Some(self.ap_load[a.index()] - old_part + Load::per_transmission(stream, new_tx))
+        Some(self.ap_load[a.index()] - old_part + Load::per_transmission(stream, u_rate))
     }
 
     /// The load user `u`'s current AP would have if `u` left it
@@ -465,13 +520,13 @@ impl<'a> LoadLedger<'a> {
             .inst
             .multicast_rate_to(a, u)
             .expect("associated user in range");
-        let slot = self.slot(a, s);
+        let slot = self.rates.slot(a, s);
         let base = slot * self.n_rates;
-        let min_idx = self.min_rate[slot] as usize;
+        let min_idx = self.rates.min_rate[slot] as usize;
         let cur_tx = self.inst.supported_rates()[min_idx];
         let old_part = Load::per_transmission(stream, cur_tx);
         // Remaining members after u leaves: remove one instance of u_rate.
-        let u_idx = self.rate_idx(u_rate);
+        let u_idx = rate_idx(self.inst, u_rate);
         let new_tx = if self.counts[base + u_idx] > 1 {
             Some(cur_tx) // another member shares u's rate; min unchanged
         } else if u_idx == min_idx {
@@ -499,12 +554,10 @@ impl<'a> LoadLedger<'a> {
             .unwrap_or_else(|| panic!("user {u} out of range of AP {a}"));
         let s = self.inst.user_session(u);
         let u_rate = self.inst.multicast_rate_to(a, u).expect("checked in range");
-        let slot = self.slot(a, s);
-        let u_idx = self.rate_idx(u_rate);
+        let slot = self.rates.slot(a, s);
+        let u_idx = rate_idx(self.inst, u_rate);
         self.counts[slot * self.n_rates + u_idx] += 1;
-        if self.min_rate[slot] == NO_RATE || (u_idx as u32) < self.min_rate[slot] {
-            self.min_rate[slot] = u_idx as u32;
-        }
+        self.rates.min_rate[slot] = self.rates.min_rate[slot].min(u_idx as u32);
         self.ap_load[a.index()] = new_load;
         self.assoc.set(u, Some(a));
     }
@@ -521,13 +574,13 @@ impl<'a> LoadLedger<'a> {
         let a = self.assoc.ap_of(u).expect("checked associated");
         let s = self.inst.user_session(u);
         let u_rate = self.inst.multicast_rate_to(a, u).expect("in range");
-        let slot = self.slot(a, s);
+        let slot = self.rates.slot(a, s);
         let base = slot * self.n_rates;
-        let u_idx = self.rate_idx(u_rate);
+        let u_idx = rate_idx(self.inst, u_rate);
         self.counts[base + u_idx] -= 1;
-        if self.counts[base + u_idx] == 0 && self.min_rate[slot] == u_idx as u32 {
+        if self.counts[base + u_idx] == 0 && self.rates.min_rate[slot] == u_idx as u32 {
             // The minimum emptied: advance to the next occupied rate.
-            self.min_rate[slot] = self.counts[base + u_idx + 1..base + self.n_rates]
+            self.rates.min_rate[slot] = self.counts[base + u_idx + 1..base + self.n_rates]
                 .iter()
                 .position(|&c| c > 0)
                 .map_or(NO_RATE, |off| (u_idx + 1 + off) as u32);
@@ -559,11 +612,13 @@ impl<'a> LoadLedger<'a> {
     /// invariant (per-session rate multisets, cached loads) holds
     /// afterwards and `ap_load(a)` is zero.
     pub fn evict_ap(&mut self, a: ApId) -> Vec<UserId> {
+        // Members are in range, so scanning the users `a` reaches suffices.
         let evicted: Vec<UserId> = self
-            .assoc
+            .inst
+            .reachable_users(a)
             .iter()
-            .enumerate()
-            .filter_map(|(i, ap)| (ap == Some(a)).then_some(UserId(i as u32)))
+            .copied()
+            .filter(|&u| self.assoc.ap_of(u) == Some(a))
             .collect();
         for &u in &evicted {
             self.leave(u);
@@ -582,16 +637,17 @@ impl<'a> LoadLedger<'a> {
     ///
     /// Panics if any cached value diverges from the recomputation.
     pub fn assert_consistent(&self) {
+        let fresh = self.assoc.session_rates(self.inst);
         for a in self.inst.aps() {
             assert_eq!(
                 self.ap_load(a),
-                self.assoc.ap_load(a, self.inst),
+                fresh.ap_load(a),
                 "cached load of {a} diverged from its association"
             );
             for s in self.inst.sessions() {
                 assert_eq!(
                     self.ap_session_rate(a, s),
-                    self.assoc.ap_session_rate(a, s, self.inst),
+                    fresh.rate(a, s),
                     "cached rate of ({a}, {s}) diverged from its association"
                 );
             }
@@ -623,7 +679,7 @@ mod tests {
             assoc.set(UserId(u), Some(ApId(0)));
         }
         assert_eq!(
-            assoc.ap_load(ApId(0), &inst),
+            assoc.loads(&inst)[0],
             Load::from_ratio(1, 3) + Load::from_ratio(1, 4)
         );
         assert_eq!(assoc.total_load(&inst), Load::from_ratio(7, 12));
@@ -675,7 +731,7 @@ mod tests {
         assoc.set(UserId(0), Some(ApId(0)));
         assoc.set(UserId(1), Some(ApId(0)));
         // Load = 3/3 + 3/6 = 3/2 > 1.
-        assert_eq!(assoc.ap_load(ApId(0), &inst), Load::from_ratio(3, 2));
+        assert_eq!(assoc.loads(&inst)[0], Load::from_ratio(3, 2));
         assert!(matches!(
             assoc.validate(&inst).unwrap_err(),
             AssocError::OverBudget { ap: ApId(0), .. }
@@ -714,8 +770,9 @@ mod tests {
         ledger.join(UserId(3), ApId(1));
         ledger.join(UserId(4), ApId(1));
         let assoc = ledger.association().clone();
-        assert_eq!(ledger.ap_load(ApId(0)), assoc.ap_load(ApId(0), &inst));
-        assert_eq!(ledger.ap_load(ApId(1)), assoc.ap_load(ApId(1), &inst));
+        let loads = assoc.loads(&inst);
+        assert_eq!(ledger.ap_load(ApId(0)), loads[0]);
+        assert_eq!(ledger.ap_load(ApId(1)), loads[1]);
         assert_eq!(ledger.total_load(), assoc.total_load(&inst));
         assert_eq!(ledger.max_load(), assoc.max_load(&inst));
     }
@@ -810,6 +867,205 @@ mod tests {
         assert_eq!(fixed.ap_of(UserId(2)), Some(ApId(1)));
         assert_eq!(fixed.ap_of(UserId(3)), None);
         assert!(fixed.validate(&inst).is_ok());
+    }
+
+    #[test]
+    fn session_rates_of_empty_association_are_empty() {
+        let inst = figure1_instance(mbps(1));
+        let rates = Association::empty(5).session_rates(&inst);
+        for a in inst.aps() {
+            for s in inst.sessions() {
+                assert_eq!(rates.rate(a, s), None);
+            }
+        }
+        assert_eq!(rates.loads(), vec![Load::ZERO; 2]);
+        assert_eq!(Association::empty(5).total_load(&inst), Load::ZERO);
+        assert_eq!(Association::empty(5).max_load(&inst), Load::ZERO);
+    }
+
+    #[test]
+    fn session_rates_take_the_slowest_member_per_session() {
+        let inst = figure1_instance(mbps(1));
+        // u1 (s1, 3 Mbps), u3 (s1, 4 Mbps) and u2 (s2, 6 Mbps) on a1.
+        let assoc = Association::from_vec(vec![
+            Some(ApId(0)),
+            Some(ApId(0)),
+            Some(ApId(0)),
+            None,
+            None,
+        ]);
+        let rates = assoc.session_rates(&inst);
+        assert_eq!(rates.rate(ApId(0), SessionId(0)), Some(mbps(3)));
+        assert_eq!(rates.rate(ApId(0), SessionId(1)), Some(mbps(6)));
+        assert_eq!(rates.rate(ApId(1), SessionId(0)), None);
+        assert_eq!(rates.ap_load(ApId(0)), Load::from_ratio(1, 2));
+        assert_eq!(rates.ap_load(ApId(1)), Load::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "in range")]
+    fn session_rates_panic_on_out_of_range_member() {
+        let inst = figure1_instance(mbps(1));
+        let mut assoc = Association::empty(5);
+        assoc.set(UserId(1), Some(ApId(1))); // u2 cannot hear a2
+        let _ = assoc.session_rates(&inst);
+    }
+
+    /// Users 0 and 3 overload a1 (3/3 + 3/4 at 3 Mbps sessions); users 2
+    /// and 4 overload a2 (3/5 + 3/3).
+    fn both_aps_over_budget() -> Association {
+        Association::from_vec(vec![
+            Some(ApId(0)),
+            None,
+            Some(ApId(1)),
+            Some(ApId(0)),
+            Some(ApId(1)),
+        ])
+    }
+
+    #[test]
+    fn validate_reports_out_of_range_before_over_budget() {
+        let inst = figure1_instance(mbps(3));
+        let mut assoc = both_aps_over_budget();
+        assoc.set(UserId(1), Some(ApId(1))); // u2 cannot hear a2
+        let err = assoc.validate(&inst).unwrap_err();
+        assert_eq!(
+            err,
+            AssocError::OutOfRange {
+                user: UserId(1),
+                ap: ApId(1)
+            }
+        );
+        assert_eq!(Err(err), crate::reference::validate_scan(&assoc, &inst));
+    }
+
+    #[test]
+    fn validate_reports_the_first_over_budget_ap() {
+        let inst = figure1_instance(mbps(3));
+        let assoc = both_aps_over_budget();
+        let err = assoc.validate(&inst).unwrap_err();
+        assert_eq!(
+            err,
+            AssocError::OverBudget {
+                ap: ApId(0),
+                load: Load::from_ratio(7, 4),
+                budget: Load::ONE,
+            }
+        );
+        assert_eq!(Err(err), crate::reference::validate_scan(&assoc, &inst));
+        assert!(!assoc.is_feasible(&inst));
+    }
+
+    #[test]
+    fn validate_checks_size_before_range() {
+        let inst = figure1_instance(mbps(3));
+        let assoc = Association::from_vec(vec![Some(ApId(1)); 6]);
+        assert_eq!(
+            assoc.validate(&inst),
+            Err(AssocError::WrongSize {
+                got: 6,
+                expected: 5
+            })
+        );
+    }
+
+    #[test]
+    fn load_if_joined_faster_joiner_keeps_the_load() {
+        let inst = figure1_instance(mbps(1));
+        let mut ledger = LoadLedger::fresh(&inst);
+        let mut oracle = crate::reference::ReferenceLedger::fresh(&inst);
+        ledger.join(UserId(0), ApId(0)); // s1 at 3 Mbps
+        oracle.join(UserId(0), ApId(0));
+        // u3 hears a1 at 4 Mbps, faster than the session's 3 Mbps.
+        assert_eq!(
+            ledger.load_if_joined(UserId(2), ApId(0)),
+            Some(Load::from_ratio(1, 3))
+        );
+        assert_eq!(
+            ledger.load_if_joined(UserId(2), ApId(0)),
+            oracle.load_if_joined(UserId(2), ApId(0))
+        );
+    }
+
+    #[test]
+    fn load_if_joined_equal_rate_rides_free() {
+        let inst = figure1_instance(mbps(1));
+        let mut ledger = LoadLedger::fresh(&inst);
+        // s2 at 4 Mbps; u5 also hears a1 at 4 Mbps.
+        ledger.join(UserId(3), ApId(0));
+        assert_eq!(
+            ledger.load_if_joined(UserId(4), ApId(0)),
+            Some(Load::from_ratio(1, 4))
+        );
+        ledger.join(UserId(4), ApId(0));
+        assert_eq!(ledger.ap_load(ApId(0)), Load::from_ratio(1, 4));
+        ledger.assert_consistent();
+    }
+
+    #[test]
+    fn load_if_joined_new_session_adds_its_part() {
+        let inst = figure1_instance(mbps(1));
+        let mut ledger = LoadLedger::fresh(&inst);
+        // s1 at 3 Mbps: 1/3; u2 brings s2 at 6 Mbps: + 1/6.
+        ledger.join(UserId(0), ApId(0));
+        assert_eq!(
+            ledger.load_if_joined(UserId(1), ApId(0)),
+            Some(Load::from_ratio(1, 2))
+        );
+    }
+
+    #[test]
+    fn ledger_new_matches_incremental_joins() {
+        let inst = figure1_instance(mbps(1));
+        let assoc = Association::from_vec(vec![
+            Some(ApId(0)),
+            Some(ApId(0)),
+            Some(ApId(1)),
+            Some(ApId(0)),
+            Some(ApId(1)),
+        ]);
+        let built = LoadLedger::new(&inst, assoc.clone());
+        let mut joined = LoadLedger::fresh(&inst);
+        for (u, a) in assoc.iter().enumerate() {
+            joined.join(UserId(u as u32), a.unwrap());
+        }
+        built.assert_consistent();
+        for a in inst.aps() {
+            assert_eq!(built.ap_load(a), joined.ap_load(a));
+            for s in inst.sessions() {
+                assert_eq!(built.ap_session_rate(a, s), joined.ap_session_rate(a, s));
+            }
+        }
+        assert_eq!(built.association(), joined.association());
+    }
+
+    #[test]
+    fn evict_ap_returns_members_in_id_order() {
+        let inst = figure1_instance(mbps(1));
+        let mut ledger = LoadLedger::fresh(&inst);
+        for (u, a) in [(4, 0), (0, 0), (2, 0), (3, 1)] {
+            ledger.join(UserId(u), ApId(a));
+        }
+        let a2_load = ledger.ap_load(ApId(1));
+        assert_eq!(
+            ledger.evict_ap(ApId(0)),
+            vec![UserId(0), UserId(2), UserId(4)]
+        );
+        assert_eq!(ledger.ap_load(ApId(0)), Load::ZERO);
+        assert_eq!(ledger.ap_load(ApId(1)), a2_load);
+        assert_eq!(ledger.association().satisfied_count(), 1);
+        ledger.assert_consistent();
+        assert!(ledger.evict_ap(ApId(0)).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "diverged")]
+    fn assert_consistent_catches_a_drifted_load() {
+        let inst = figure1_instance(mbps(1));
+        let mut ledger = LoadLedger::fresh(&inst);
+        ledger.join(UserId(0), ApId(0));
+        ledger.ap_load[0] = Load::from_ratio(1, 4);
+        ledger.assert_consistent();
     }
 
     #[test]

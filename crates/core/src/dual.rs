@@ -58,23 +58,31 @@ impl DualAssociation {
         DualAssociation { unicast, multicast }
     }
 
-    /// Number of unicast users attached to AP `a`.
-    pub fn unicast_users_of(&self, a: ApId) -> usize {
-        self.unicast.iter().filter(|&ap| ap == Some(a)).count()
+    /// Number of unicast users attached to each AP, indexable by
+    /// `ApId::index`, from one sweep over the users.
+    pub fn unicast_users(&self, inst: &Instance) -> Vec<u64> {
+        let mut users = vec![0u64; inst.n_aps()];
+        for a in self.unicast.iter().flatten() {
+            users[a.index()] += 1;
+        }
+        users
     }
 
     /// The joint airtime of AP `a`: its multicast load (Definition 1 over
     /// the multicast association) plus `per_user_demand` for each of its
     /// unicast users.
     pub fn ap_airtime(&self, a: ApId, inst: &Instance, per_user_demand: Load) -> Load {
-        let unicast = per_user_demand * self.unicast_users_of(a) as u64;
-        self.multicast.ap_load(a, inst) + unicast
+        self.airtimes(inst, per_user_demand)[a.index()]
     }
 
-    /// All joint airtimes, indexable by `ApId::index`.
+    /// All joint airtimes, indexable by `ApId::index`, from one sweep over
+    /// each association.
     pub fn airtimes(&self, inst: &Instance, per_user_demand: Load) -> Vec<Load> {
-        inst.aps()
-            .map(|a| self.ap_airtime(a, inst, per_user_demand))
+        self.multicast
+            .loads(inst)
+            .into_iter()
+            .zip(self.unicast_users(inst))
+            .map(|(multicast, n)| multicast + per_user_demand * n)
             .collect()
     }
 
@@ -132,8 +140,7 @@ mod tests {
         let inst = figure1_instance(Kbps::from_mbps(1));
         let dual = dual_mla(&inst);
         // Unicast: u3, u4 hear a2 strongest (5 Mbps closer signal).
-        assert_eq!(dual.unicast_users_of(a(1)), 3);
-        assert_eq!(dual.unicast_users_of(a(2)), 2);
+        assert_eq!(dual.unicast_users(&inst), [3, 2]);
         // Multicast: MLA puts everyone on a1.
         for u in inst.users() {
             assert_eq!(dual.multicast.ap_of(u), Some(a(1)));
@@ -195,5 +202,38 @@ mod tests {
             dual.max_airtime(&inst, demand),
             airtimes.iter().copied().max().unwrap()
         );
+    }
+
+    #[test]
+    fn unicast_users_skip_unserved_users() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        let dual = DualAssociation {
+            unicast: Association::from_vec(vec![Some(a(2)), None, Some(a(1)), None, None]),
+            multicast: Association::empty(inst.n_users()),
+        };
+        assert_eq!(dual.unicast_users(&inst), [1, 1]);
+        let none = DualAssociation {
+            unicast: Association::empty(inst.n_users()),
+            multicast: Association::empty(inst.n_users()),
+        };
+        assert_eq!(none.unicast_users(&inst), [0, 0]);
+        assert_eq!(none.unicast_headroom(&inst, Load::ONE), Load::from(2u32));
+    }
+
+    #[test]
+    fn ap_airtime_is_the_airtimes_entry() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        let dual =
+            DualAssociation::with_ssa_unicast(&inst, solve_ssa(&inst, Objective::Mla).association);
+        let demand = Load::from_ratio(1, 30);
+        let airtimes = dual.airtimes(&inst, demand);
+        for ap in inst.aps() {
+            assert_eq!(dual.ap_airtime(ap, &inst, demand), airtimes[ap.index()]);
+            assert_eq!(
+                airtimes[ap.index()],
+                dual.multicast.loads(&inst)[ap.index()]
+                    + demand * dual.unicast_users(&inst)[ap.index()]
+            );
+        }
     }
 }

@@ -63,7 +63,7 @@ pub mod ssa;
 pub mod stats;
 pub mod supervise;
 
-pub use assoc::{AssocError, Association, LoadLedger};
+pub use assoc::{AssocError, Association, LoadLedger, SessionRates};
 pub use bla::solve_bla;
 pub use bla::{solve_bla_with, BlaConfig};
 pub use checkpoint::{CheckpointError, CheckpointSink, PartitionCheckpoint, CHECKPOINT_SCHEMA};

@@ -76,6 +76,17 @@ fn gcd(mut a: i128, mut b: i128) -> i128 {
     a
 }
 
+/// `gcd` in hardware `u64` division: `i128` `%` is a software routine,
+/// and the fast paths below reduce every WLAN-sized fraction through this.
+fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    while b != 0 {
+        let t = a % b;
+        a = b;
+        b = t;
+    }
+    a
+}
+
 impl Load {
     /// The zero load.
     pub const ZERO: Load = Load { num: 0, den: 1 };
@@ -88,6 +99,32 @@ impl Load {
     ///
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Load {
+        assert!(den != 0, "load denominator must be nonzero");
+        match (i64::try_from(num), i64::try_from(den)) {
+            (Ok(num), Ok(den)) => Load::new_i64(num, den),
+            _ => Load::new_i128(num, den),
+        }
+    }
+
+    /// [`Load::new`] for components that fit `i64`: the gcd and both
+    /// divisions run on the magnitudes in `u64`.
+    fn new_i64(num: i64, den: i64) -> Load {
+        if num == 0 {
+            return Load::ZERO;
+        }
+        let negative = (num < 0) != (den < 0);
+        let (n, d) = (num.unsigned_abs(), den.unsigned_abs());
+        let g = gcd_u64(n, d);
+        let n = i128::from(n / g);
+        Load {
+            num: if negative { -n } else { n },
+            den: i128::from(d / g),
+        }
+    }
+
+    /// [`Load::new`] on the full `i128` range: the general path, and the
+    /// oracle the `u64` fast path is tested against.
+    pub(crate) fn new_i128(num: i128, den: i128) -> Load {
         assert!(den != 0, "load denominator must be nonzero");
         let sign = if (num < 0) != (den < 0) && num != 0 {
             -1
@@ -181,6 +218,24 @@ impl Load {
         const LIM: i128 = i64::MAX as i128;
         self.num.abs() <= LIM && self.den <= LIM
     }
+
+    /// [`Ord::cmp`] with checked `i128` cross products: the general path,
+    /// and the oracle the unchecked fast path is tested against.
+    pub(crate) fn cmp_i128(&self, other: &Load) -> Ordering {
+        Load::checked_mul(self.num, other.den).cmp(&Load::checked_mul(other.num, self.den))
+    }
+
+    /// [`Add`] with checked `i128` arithmetic throughout: the general
+    /// path, and the oracle the `u64` fast path is tested against.
+    pub(crate) fn add_i128(self, rhs: Load) -> Load {
+        // a/b + c/d = (a*(l/b) + c*(l/d)) / l with l = lcm(b, d).
+        let g = gcd(self.den, rhs.den);
+        let l = Load::checked_mul(self.den / g, rhs.den);
+        let num = Load::checked_mul(self.num, l / self.den)
+            .checked_add(Load::checked_mul(rhs.num, l / rhs.den))
+            .expect("load arithmetic overflow in addition");
+        Load::new(num, l)
+    }
 }
 
 impl Default for Load {
@@ -212,7 +267,7 @@ impl Ord for Load {
             // |i64| * |i64| always fits in i128: plain multiplies suffice.
             return (self.num * other.den).cmp(&(other.num * self.den));
         }
-        Load::checked_mul(self.num, other.den).cmp(&Load::checked_mul(other.num, self.den))
+        self.cmp_i128(other)
     }
 }
 
@@ -220,13 +275,17 @@ impl Add for Load {
     type Output = Load;
 
     fn add(self, rhs: Load) -> Load {
-        // a/b + c/d = (a*(l/b) + c*(l/d)) / l with l = lcm(b, d).
-        let g = gcd(self.den, rhs.den);
-        let l = Load::checked_mul(self.den / g, rhs.den);
-        let num = Load::checked_mul(self.num, l / self.den)
-            .checked_add(Load::checked_mul(rhs.num, l / rhs.den))
-            .expect("load arithmetic overflow in addition");
-        Load::new(num, l)
+        if self.fits_i64() && rhs.fits_i64() {
+            // Same lcm formula as `add_i128`, with the gcd and divisions
+            // in u64. Every product below multiplies two magnitudes under
+            // 2^63, so it stays under 2^126 and the sum of two under
+            // 2^127: no i128 operation can overflow.
+            let (b, d) = (self.den as u64, rhs.den as u64);
+            let g = gcd_u64(b, d);
+            let (b, d) = (i128::from(b / g), i128::from(d / g));
+            return Load::new(self.num * d + rhs.num * b, b * rhs.den);
+        }
+        self.add_i128(rhs)
     }
 }
 
@@ -430,5 +489,130 @@ mod tests {
         assert_eq!(raw, Load::from_ratio(1, 2));
         // Zero denominator rejected.
         assert!(serde_json::from_str::<Load>(r#"{"num":1,"den":0}"#).is_err());
+    }
+
+    const BIG: i128 = i64::MAX as i128;
+    const MIN: i128 = i64::MIN as i128;
+
+    #[test]
+    fn gcd_u64_edge_cases() {
+        assert_eq!(gcd_u64(0, 5), 5);
+        assert_eq!(gcd_u64(7, 0), 7);
+        assert_eq!(gcd_u64(12, 18), 6);
+        assert_eq!(gcd_u64(1 << 63, 1 << 62), 1 << 62);
+    }
+
+    #[test]
+    fn fast_path_new_handles_i64_min() {
+        // |i64::MIN| = 2^63 only fits the unsigned magnitude.
+        for (num, den) in [(MIN, 2), (MIN, MIN), (2, MIN), (MIN, -4), (MIN, 3)] {
+            assert_eq!(Load::new(num, den), Load::new_i128(num, den));
+        }
+        assert_eq!(Load::new(MIN, MIN), Load::ONE);
+        assert_eq!(Load::new(MIN, 2).numer(), MIN / 2);
+        assert_eq!(Load::new(2, MIN), Load::new(-1, 1 << 62));
+    }
+
+    #[test]
+    fn fast_path_new_normalizes_negative_denominators() {
+        assert_eq!(Load::new(3, -6), Load::new(-1, 2));
+        assert_eq!(Load::new(-3, -6), Load::from_ratio(1, 2));
+        assert_eq!(Load::new(3, -6).denom(), 2);
+        assert_eq!(Load::new(0, -BIG), Load::ZERO);
+        assert_eq!(Load::new(BIG, -BIG), Load::new_i128(BIG, -BIG));
+    }
+
+    #[test]
+    fn new_above_i64_takes_the_i128_path() {
+        let l = Load::new(2 * (BIG + 1), 2);
+        assert_eq!(l.numer(), BIG + 1);
+        assert_eq!(l.denom(), 1);
+        assert_eq!(Load::new(-4 * BIG, 6 * BIG), Load::new(-2, 3));
+        assert_eq!(Load::new(BIG + 1, BIG + 1), Load::ONE);
+    }
+
+    #[test]
+    fn add_at_i64_extremes_is_exact() {
+        let max = Load::new(BIG, 1);
+        // The sum's numerator leaves i64, so it renormalizes on i128.
+        assert_eq!(max + max, Load::new(2 * BIG, 1));
+        assert_eq!(max + max, max.add_i128(max));
+        let tiny = Load::new(1, BIG);
+        assert_eq!(tiny + tiny, Load::new(2, BIG));
+        assert_eq!(max + -max, Load::ZERO);
+    }
+
+    #[test]
+    fn add_coprime_large_denominators_matches_i128() {
+        // lcm = BIG * (BIG - 1) ≈ 2^126: the widest product the fast
+        // path forms.
+        let a = Load::new(1, BIG);
+        let b = Load::new(1, BIG - 1);
+        let sum = a + b;
+        assert_eq!(sum, a.add_i128(b));
+        assert_eq!(sum.denom(), BIG * (BIG - 1));
+        assert_eq!(sum.numer(), 2 * BIG - 1);
+        assert_eq!(a - b, a.add_i128(-b));
+    }
+
+    #[test]
+    fn add_with_one_operand_above_i64_falls_back() {
+        let big = Load::new(BIG + 1, 1);
+        let half = Load::from_ratio(1, 2);
+        assert!(!big.fits_i64());
+        assert_eq!(big + half, Load::new(2 * BIG + 3, 2));
+        assert_eq!(half + big, big + half);
+        assert_eq!(big - big, Load::ZERO);
+    }
+
+    #[test]
+    fn cmp_fast_path_agrees_with_checked_at_boundary() {
+        let cases = [
+            (Load::new(BIG, 1), Load::new(BIG - 1, 1)),
+            (Load::new(1, BIG), Load::new(1, BIG - 1)),
+            (Load::new(-BIG, 1), Load::new(MIN + 1, 1)),
+            (Load::new(BIG, BIG - 1), Load::new(BIG - 1, BIG - 2)),
+            (Load::new(-1, BIG), Load::ZERO),
+        ];
+        for (a, b) in cases {
+            assert_eq!(a.cmp(&b), a.cmp_i128(&b), "{a} vs {b}");
+            assert_eq!(b.cmp(&a), b.cmp_i128(&a), "{b} vs {a}");
+        }
+        assert!(Load::new(BIG, BIG - 1) < Load::new(BIG - 1, BIG - 2));
+    }
+
+    #[test]
+    fn cmp_across_the_i64_boundary() {
+        let above = Load::new(BIG + 1, 1);
+        let at = Load::new(BIG, 1);
+        assert!(above > at);
+        assert!(-above < -at);
+        assert_eq!(above.cmp(&at), above.cmp_i128(&at));
+    }
+
+    #[test]
+    fn add_assign_and_sub_assign() {
+        let mut l = Load::ZERO;
+        l += Load::from_ratio(1, 3);
+        l += Load::from_ratio(1, 6);
+        assert_eq!(l, Load::from_ratio(1, 2));
+        l -= Load::from_ratio(3, 4);
+        assert_eq!(l, Load::new(-1, 4));
+    }
+
+    #[test]
+    fn negating_zero_stays_zero() {
+        assert_eq!(-Load::ZERO, Load::ZERO);
+        assert!(!(-Load::ZERO).is_negative());
+        assert!((-Load::ZERO).is_zero());
+        assert_eq!(Load::from_ratio(2, 7) - Load::from_ratio(2, 7), Load::ZERO);
+    }
+
+    #[test]
+    fn div_int_and_mul_reduce() {
+        assert_eq!(Load::from_ratio(3, 4).div_int(3), Load::from_ratio(1, 4));
+        assert_eq!(Load::ONE.div_int(10), Load::permille(100));
+        assert_eq!(Load::new(-5, 6) * 3, Load::new(-5, 2));
+        assert_eq!(Load::from_ratio(5, 6) * 6, Load::from(5u32));
     }
 }

@@ -47,7 +47,7 @@ pub fn solve_mnu_with(inst: &Instance, config: &MnuConfig) -> Solution {
     let sol = greedy_mcg(red.system(), red.budgets());
     let feasible = sol.feasible();
     let model_cost = *feasible.total_cost();
-    let mut assoc = red.to_association(feasible);
+    let assoc = red.to_association(feasible);
 
     if config.augment {
         // Admit leftover users wherever realized slack allows, most
@@ -68,7 +68,8 @@ pub fn solve_mnu_with(inst: &Instance, config: &MnuConfig) -> Solution {
                 ledger.join(u, a);
             }
         }
-        assoc = ledger.into_association();
+        debug_assert!(ledger.association().is_feasible(inst));
+        return Solution::from_ledger(Objective::Mnu, ledger, Some(model_cost));
     }
 
     debug_assert!(assoc.is_feasible(inst));

@@ -2,8 +2,16 @@
 //! kept as byte-exact oracles (the PR-2 discipline, see
 //! `crates/covering/src/reference.rs` for the covering-layer analogue).
 //!
-//! Three oracles live here, each replaced by a fast path elsewhere:
+//! Five oracles live here, each replaced by a fast path elsewhere:
 //!
+//! * [`ap_load_scan`] / [`validate_scan`] — the original per-AP load
+//!   evaluation, which scans every user for every (AP, session) pair:
+//!   O(APs × sessions × users). [`Association::loads`] and
+//!   [`Association::validate`] replace it with one sweep over the users.
+//! * [`load_new_i128`] / [`load_add_i128`] / [`load_cmp_i128`] — [`Load`]
+//!   arithmetic on checked `i128` throughout. [`Load`] takes a `u64`
+//!   gcd fast path whenever both operands fit `i64` and falls back to
+//!   these otherwise.
 //! * [`ReferenceLedger`] — the original incremental load state built on a
 //!   `BTreeMap<Kbps, u32>` rate multiset per (AP, session). The fast
 //!   [`LoadLedger`](crate::LoadLedger) replaces the maps with fixed-size
@@ -20,11 +28,13 @@
 //!
 //! `repro bench` times the fast paths against these and asserts the
 //! outputs are identical; the equivalence proptests in
-//! `crates/core/tests/properties.rs` pin the same on random instances.
+//! `crates/core/tests/properties.rs` and `crates/core/tests/load_paths.rs`
+//! pin the same on random instances.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashSet};
 
-use crate::assoc::Association;
+use crate::assoc::{AssocError, Association};
 use crate::distributed::{
     vector_improves, ApStateView, DistributedConfig, DistributedOutcome, ExecutionMode, Policy,
 };
@@ -32,6 +42,103 @@ use crate::ids::{ApId, SessionId, UserId};
 use crate::instance::Instance;
 use crate::load::Load;
 use crate::rate::Kbps;
+
+/// The rate AP `a` must use for session `s` under `assoc` — the minimum
+/// multicast rate over its members for `s` — by scanning every user.
+///
+/// # Panics
+///
+/// Panics if a member of `a` is out of its range.
+pub fn ap_session_rate_scan(
+    assoc: &Association,
+    a: ApId,
+    s: SessionId,
+    inst: &Instance,
+) -> Option<Kbps> {
+    assoc
+        .iter()
+        .enumerate()
+        .filter(|&(u, ap)| ap == Some(a) && inst.user_session(UserId(u as u32)) == s)
+        .map(|(u, _)| {
+            inst.multicast_rate_to(a, UserId(u as u32))
+                .expect("associated user must be in range")
+        })
+        .min()
+}
+
+/// The multicast load of AP `a` under `assoc` (Definition 1), by one
+/// [`ap_session_rate_scan`] per session.
+pub fn ap_load_scan(assoc: &Association, a: ApId, inst: &Instance) -> Load {
+    inst.sessions()
+        .filter_map(|s| {
+            ap_session_rate_scan(assoc, a, s, inst)
+                .map(|tx| Load::per_transmission(inst.session_rate(s), tx))
+        })
+        .sum()
+}
+
+/// The original [`Association::validate`]: the size, then every user's
+/// range, then every AP's budget through [`ap_load_scan`].
+///
+/// # Errors
+///
+/// The same [`AssocError`] as [`Association::validate`].
+pub fn validate_scan(assoc: &Association, inst: &Instance) -> Result<(), AssocError> {
+    if assoc.len() != inst.n_users() {
+        return Err(AssocError::WrongSize {
+            got: assoc.len(),
+            expected: inst.n_users(),
+        });
+    }
+    for (u, ap) in assoc.iter().enumerate() {
+        if let Some(a) = ap {
+            if inst.link_rate(a, UserId(u as u32)).is_none() {
+                return Err(AssocError::OutOfRange {
+                    user: UserId(u as u32),
+                    ap: a,
+                });
+            }
+        }
+    }
+    for a in inst.aps() {
+        let load = ap_load_scan(assoc, a, inst);
+        if load > inst.budget(a) {
+            return Err(AssocError::OverBudget {
+                ap: a,
+                load,
+                budget: inst.budget(a),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// [`Load::new`] on checked `i128` arithmetic only.
+///
+/// # Panics
+///
+/// Panics if `den == 0`.
+pub fn load_new_i128(num: i128, den: i128) -> Load {
+    Load::new_i128(num, den)
+}
+
+/// `a + b` on checked `i128` arithmetic only (`a - b` is `a + -b`).
+///
+/// # Panics
+///
+/// Panics if an intermediate product overflows `i128`.
+pub fn load_add_i128(a: Load, b: Load) -> Load {
+    a.add_i128(b)
+}
+
+/// `a.cmp(&b)` on checked `i128` cross products only.
+///
+/// # Panics
+///
+/// Panics if a cross product overflows `i128`.
+pub fn load_cmp_i128(a: Load, b: Load) -> Ordering {
+    a.cmp_i128(&b)
+}
 
 /// The original incremental load state: per (AP, session), a
 /// `BTreeMap<Kbps, u32>` multiset of member multicast rates.
@@ -423,8 +530,14 @@ mod tests {
             ledger.join(UserId(u), ApId(a));
         }
         let assoc = ledger.association().clone();
-        assert_eq!(ledger.ap_load(ApId(0)), assoc.ap_load(ApId(0), &inst));
-        assert_eq!(ledger.ap_load(ApId(1)), assoc.ap_load(ApId(1), &inst));
+        assert_eq!(
+            ledger.ap_load(ApId(0)),
+            ap_load_scan(&assoc, ApId(0), &inst)
+        );
+        assert_eq!(
+            ledger.ap_load(ApId(1)),
+            ap_load_scan(&assoc, ApId(1), &inst)
+        );
         assert_eq!(ledger.total_load(), assoc.total_load(&inst));
         assert_eq!(ledger.max_load(), assoc.max_load(&inst));
     }
@@ -449,5 +562,50 @@ mod tests {
                 assert_eq!(fast.cycle_detected, refr.cycle_detected);
             }
         }
+    }
+    #[test]
+    fn scans_match_the_one_pass_table_on_figure1() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        let assoc = Association::from_vec(vec![
+            Some(ApId(0)),
+            Some(ApId(0)),
+            Some(ApId(1)),
+            Some(ApId(0)),
+            Some(ApId(1)),
+        ]);
+        let rates = assoc.session_rates(&inst);
+        for a in inst.aps() {
+            assert_eq!(ap_load_scan(&assoc, a, &inst), rates.ap_load(a));
+            for s in inst.sessions() {
+                assert_eq!(ap_session_rate_scan(&assoc, a, s, &inst), rates.rate(a, s));
+            }
+        }
+        assert_eq!(validate_scan(&assoc, &inst), assoc.validate(&inst));
+    }
+
+    #[test]
+    fn validate_scan_reports_wrong_size_first() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        let assoc = Association::from_vec(vec![Some(ApId(1)); 2]);
+        assert_eq!(
+            validate_scan(&assoc, &inst),
+            Err(AssocError::WrongSize {
+                got: 2,
+                expected: 5
+            })
+        );
+        assert_eq!(validate_scan(&assoc, &inst), assoc.validate(&inst));
+    }
+
+    #[test]
+    fn checked_load_oracles_match_the_operators() {
+        let (a, b) = (Load::from_ratio(1, 3), Load::new(-5, 12));
+        assert_eq!(load_new_i128(-10, 24), b);
+        assert_eq!(load_add_i128(a, b), a + b);
+        assert_eq!(load_add_i128(a, -b), a - b);
+        assert_eq!(load_cmp_i128(a, b), a.cmp(&b));
+        let big = load_new_i128(i128::from(i64::MAX) * 3, 3);
+        assert_eq!(big, Load::new(i128::from(i64::MAX), 1));
+        assert_eq!(load_cmp_i128(big, a), Ordering::Greater);
     }
 }

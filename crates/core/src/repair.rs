@@ -62,10 +62,9 @@ where
         if enforce_budget && post > inst.budget(a) {
             continue;
         }
-        let delta = post - ledger.ap_load(a);
         let key = match objective {
             Objective::Mnu | Objective::Bla => (post, Load::ZERO, a),
-            Objective::Mla => (delta, post, a),
+            Objective::Mla => (post - ledger.ap_load(a), post, a),
         };
         if best.is_none_or(|b| key < b) {
             best = Some(key);

@@ -4,7 +4,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::assoc::Association;
+use crate::assoc::{Association, LoadLedger};
 use crate::ids::UserId;
 use crate::instance::Instance;
 use crate::load::Load;
@@ -66,6 +66,25 @@ impl Solution {
             satisfied: association.satisfied_count(),
             total_load: loads.iter().copied().sum(),
             max_load: loads.into_iter().max().unwrap_or(Load::ZERO),
+            association,
+            model_cost,
+        }
+    }
+
+    /// The solution a solver's ledger already holds: its association and
+    /// the loads it kept live, with no re-evaluation.
+    pub fn from_ledger(
+        objective: Objective,
+        ledger: LoadLedger<'_>,
+        model_cost: Option<Load>,
+    ) -> Solution {
+        let (total_load, max_load) = (ledger.total_load(), ledger.max_load());
+        let association = ledger.into_association();
+        Solution {
+            objective,
+            satisfied: association.satisfied_count(),
+            total_load,
+            max_load,
             association,
             model_cost,
         }
@@ -132,5 +151,30 @@ mod tests {
             Load::from_ratio(1, 2) + Load::from_ratio(1, 3)
         );
         assert_eq!(sol.model_cost, None);
+    }
+
+    #[test]
+    fn from_ledger_matches_evaluate() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        let mut ledger = LoadLedger::fresh(&inst);
+        for (u, a) in [(0, 0), (1, 0), (2, 1), (4, 1)] {
+            ledger.join(UserId(u), ApId(a));
+        }
+        let assoc = ledger.association().clone();
+        let cost = Some(Load::from_ratio(1, 7));
+        assert_eq!(
+            Solution::from_ledger(Objective::Mla, ledger, cost),
+            Solution::evaluate(Objective::Mla, assoc, &inst, cost)
+        );
+    }
+
+    #[test]
+    fn from_fresh_ledger_is_empty() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        let sol = Solution::from_ledger(Objective::Mnu, LoadLedger::fresh(&inst), None);
+        assert_eq!(sol.satisfied, 0);
+        assert_eq!(sol.total_load, Load::ZERO);
+        assert_eq!(sol.max_load, Load::ZERO);
+        assert_eq!(sol.association, Association::empty(inst.n_users()));
     }
 }

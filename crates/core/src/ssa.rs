@@ -39,9 +39,8 @@ pub fn solve_ssa(inst: &Instance, objective: Objective) -> Solution {
             }
         }
     }
-    let assoc = ledger.into_association();
-    debug_assert!(assoc.is_feasible(inst));
-    Solution::evaluate(objective, assoc, inst, None)
+    debug_assert!(ledger.association().is_feasible(inst));
+    Solution::from_ledger(objective, ledger, None)
 }
 
 #[cfg(test)]

@@ -198,7 +198,7 @@ proptest! {
         }
         let assoc = ledger.association().clone();
         for a in inst.aps() {
-            prop_assert_eq!(ledger.ap_load(a), assoc.ap_load(a, &inst));
+            prop_assert_eq!(ledger.ap_load(a), mcast_core::reference::ap_load_scan(&assoc, a, &inst));
         }
         prop_assert_eq!(ledger.total_load(), assoc.total_load(&inst));
         prop_assert_eq!(ledger.max_load(), assoc.max_load(&inst));

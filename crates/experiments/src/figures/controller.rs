@@ -249,9 +249,11 @@ pub(crate) fn build_plan(
 ) -> FaultPlan {
     let inst = &scenario.instance;
     let sol = solve_mnu(inst);
-    let mut by_load: Vec<_> = inst
-        .aps()
-        .map(|a| (sol.association.ap_load(a, inst), a))
+    let mut by_load: Vec<_> = sol
+        .association
+        .loads(inst)
+        .into_iter()
+        .zip(inst.aps())
         .collect();
     by_load.sort();
     FaultPlan {

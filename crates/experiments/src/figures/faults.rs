@@ -131,9 +131,11 @@ pub fn run(opts: &Options, runner: &Runner) -> String {
             // association — the most-loaded APs, which the outage targets
             // (worst case: the users hardest to re-home all move at once).
             let opt = solve_bla(inst).map_err(|e| TrialError::failed(format!("solve_bla: {e}")))?;
-            let mut by_load: Vec<_> = inst
-                .aps()
-                .map(|a| (opt.association.ap_load(a, inst), a))
+            let mut by_load: Vec<_> = opt
+                .association
+                .loads(inst)
+                .into_iter()
+                .zip(inst.aps())
                 .collect();
             by_load.sort();
             let victims: Vec<_> = by_load

@@ -106,7 +106,7 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let dir = std::env::temp_dir().join("mcast_report_test");
+        let dir = std::env::temp_dir().join(format!("mcast_report_test_{}", std::process::id()));
         write_csv(&sample_figure(), &dir).unwrap();
         let content = std::fs::read_to_string(dir.join("figX.csv")).unwrap();
         assert!(content.starts_with("figure,series,x,mean,min,max,n"));

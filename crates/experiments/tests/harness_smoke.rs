@@ -10,18 +10,21 @@ use mcast_experiments::report::{render_table, write_csv};
 use mcast_experiments::runner::Runner;
 use mcast_experiments::stats::Figure;
 use mcast_experiments::Options;
+use std::path::Path;
 
-fn tiny() -> Options {
+/// Smoke-test options writing under a directory of the test's own, so
+/// tests running in parallel never share output files.
+fn tiny(test: &str) -> Options {
     Options {
         seeds: 1,
         quick: true,
         max_nodes: 200_000,
-        out_dir: std::env::temp_dir().join(format!("mcast_smoke_{}", std::process::id())),
+        out_dir: std::env::temp_dir().join(format!("mcast_smoke_{test}_{}", std::process::id())),
         ..Options::default()
     }
 }
 
-fn well_formed(figs: &[Figure]) {
+fn well_formed(figs: &[Figure], out_dir: &Path) {
     assert!(!figs.is_empty());
     for fig in figs {
         assert!(!fig.id.is_empty());
@@ -42,7 +45,7 @@ fn well_formed(figs: &[Figure]) {
         // Table, CSV and plot must all accept the figure.
         let table = render_table(fig);
         assert!(table.contains(&fig.id));
-        write_csv(fig, &tiny().out_dir).expect("csv writes");
+        write_csv(fig, out_dir).expect("csv writes");
         let plot = render_ascii(fig, 48, 12);
         assert!(plot.contains(&fig.id));
     }
@@ -50,42 +53,50 @@ fn well_formed(figs: &[Figure]) {
 
 #[test]
 fn fig9_smoke() {
-    well_formed(&fig9::run(&tiny(), &Runner::ephemeral()));
+    let opts = tiny("fig9");
+    well_formed(&fig9::run(&opts, &Runner::ephemeral()), &opts.out_dir);
 }
 
 #[test]
 fn fig10_smoke() {
-    well_formed(&fig10::run(&tiny(), &Runner::ephemeral()));
+    let opts = tiny("fig10");
+    well_formed(&fig10::run(&opts, &Runner::ephemeral()), &opts.out_dir);
 }
 
 #[test]
 fn fig11_smoke() {
-    well_formed(&fig11::run(&tiny(), &Runner::ephemeral()));
+    let opts = tiny("fig11");
+    well_formed(&fig11::run(&opts, &Runner::ephemeral()), &opts.out_dir);
 }
 
 #[test]
 fn fig12_smoke() {
-    well_formed(&fig12::run(&tiny(), &Runner::ephemeral()));
+    let opts = tiny("fig12");
+    well_formed(&fig12::run(&opts, &Runner::ephemeral()), &opts.out_dir);
 }
 
 #[test]
 fn ablations_smoke() {
-    well_formed(&ablations::run(&tiny(), &Runner::ephemeral()));
+    let opts = tiny("ablations");
+    well_formed(&ablations::run(&opts, &Runner::ephemeral()), &opts.out_dir);
 }
 
 #[test]
 fn channels_smoke() {
-    well_formed(&channels::run(&tiny(), &Runner::ephemeral()));
+    let opts = tiny("channels");
+    well_formed(&channels::run(&opts, &Runner::ephemeral()), &opts.out_dir);
 }
 
 #[test]
 fn mobility_smoke() {
-    well_formed(&mobility::run(&tiny(), &Runner::ephemeral()));
+    let opts = tiny("mobility");
+    well_formed(&mobility::run(&opts, &Runner::ephemeral()), &opts.out_dir);
 }
 
 #[test]
 fn revenue_smoke() {
-    well_formed(&revenue::run(&tiny(), &Runner::ephemeral()));
+    let opts = tiny("revenue");
+    well_formed(&revenue::run(&opts, &Runner::ephemeral()), &opts.out_dir);
 }
 
 #[test]
@@ -97,7 +108,7 @@ fn table1_smoke() {
 
 #[test]
 fn fig9_quick_points_are_subset_of_full() {
-    let quick = fig9::run(&tiny(), &Runner::ephemeral());
+    let quick = fig9::run(&tiny("fig9_quick"), &Runner::ephemeral());
     let quick_xs: Vec<f64> = quick[0].series[0].points.iter().map(|p| p.0).collect();
     assert_eq!(quick_xs, vec![50.0, 250.0, 400.0]);
 }

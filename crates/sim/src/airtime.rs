@@ -49,10 +49,11 @@ pub fn measure_airtime(
     assert_eq!(window.0 % interval.0, 0, "interval must divide window");
     let packets = window.0 / interval.0;
 
+    let rates = assoc.session_rates(inst);
     let mut busy_us = vec![0.0f64; inst.n_aps()];
     for a in inst.aps() {
         for s in inst.sessions() {
-            if let Some(tx) = assoc.ap_session_rate(a, s, inst) {
+            if let Some(tx) = rates.rate(a, s) {
                 // Bits accumulated per interval at the stream rate, then
                 // drained at the transmission rate.
                 let stream_kbps = f64::from(inst.session_rate(s).0);
@@ -64,7 +65,7 @@ pub fn measure_airtime(
     }
 
     let measured = busy_us.iter().map(|b| b / window.0 as f64).collect();
-    let analytic = assoc.loads(inst);
+    let analytic = rates.loads();
     AirtimeReport {
         measured,
         analytic,

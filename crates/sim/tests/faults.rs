@@ -63,6 +63,7 @@ proptest! {
     /// configured to fail). Reports capture the full observable history
     /// (changes, message counts, clock), so equality of reports is
     /// equality of event sequences.
+    #[test]
     fn none_plan_is_identity(
         seed in 0u64..500,
         fault_seed in 1u64..u64::MAX,
@@ -90,6 +91,7 @@ proptest! {
 
     /// Determinism: the same plan and seeds reproduce the identical
     /// report, fault epochs and all.
+    #[test]
     fn faulty_runs_are_deterministic(seed in 0u64..200, fault_seed in 0u64..1000) {
         let sc = scenario(10, 30, seed);
         let inst = &sc.instance;
@@ -319,7 +321,10 @@ fn dropped_association_grants_leave_ledger_consistent() {
     let rebuilt = mcast_core::LoadLedger::new(inst, report.association.clone());
     rebuilt.assert_consistent();
     for a in inst.aps() {
-        assert_eq!(rebuilt.ap_load(a), report.association.ap_load(a, inst));
+        assert_eq!(
+            rebuilt.ap_load(a),
+            mcast_core::reference::ap_load_scan(&report.association, a, inst)
+        );
     }
 }
 

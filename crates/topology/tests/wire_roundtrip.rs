@@ -8,10 +8,22 @@
 //! * streaming generation produces byte-identical scenarios to the
 //!   batch path for arbitrary configs, and rejects the same configs.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use proptest::prelude::*;
 
 use mcast_core::{Kbps, Load, RatePolicy};
 use mcast_topology::{read_mcb, write_mcb, Scenario, ScenarioConfig, SessionPopularity};
+
+/// A temp path no other test, case or process uses.
+fn scratch_path() -> std::path::PathBuf {
+    static N: AtomicU64 = AtomicU64::new(0);
+    std::env::temp_dir().join(format!(
+        "mcast_wire_prop_{}_{}.mcb",
+        std::process::id(),
+        N.fetch_add(1, Ordering::Relaxed)
+    ))
+}
 
 fn config() -> impl Strategy<Value = ScenarioConfig> {
     (
@@ -84,11 +96,7 @@ proptest! {
     #[test]
     fn mcb_roundtrips_the_scenario(cfg in config()) {
         let sc = cfg.generate();
-        let path = std::env::temp_dir().join(format!(
-            "mcast_wire_prop_{}_{}.mcb",
-            std::process::id(),
-            cfg.seed
-        ));
+        let path = scratch_path();
         write_mcb(&sc, &path).expect("mcb writes");
         let reloaded = read_mcb(&path).expect("mcb reads");
         let _ = std::fs::remove_file(&path);

@@ -89,8 +89,9 @@ proptest! {
             prop_assert_eq!(dual.unicast.ap_of(u).is_some(), inst.user_coverable(u));
         }
         // Zero demand: airtime == multicast load.
+        prop_assert_eq!(dual.airtimes(inst, Load::ZERO), mcast.loads(inst));
         for a in inst.aps() {
-            prop_assert_eq!(dual.ap_airtime(a, inst, Load::ZERO), mcast.ap_load(a, inst));
+            prop_assert_eq!(dual.ap_airtime(a, inst, Load::ZERO), mcast.loads(inst)[a.index()]);
         }
         // Headroom shrinks as demand grows.
         let h1 = dual.unicast_headroom(inst, Load::from_ratio(1, 100));
