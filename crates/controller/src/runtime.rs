@@ -9,6 +9,7 @@ use mcast_faults::{FaultEventKind, FaultPlan};
 use crate::engine::EpochEngine;
 use crate::ladder::LadderPolicy;
 use crate::report::ControllerReport;
+use crate::service::validate_horizon;
 use crate::state::NetworkState;
 
 /// Configuration of a controller run.
@@ -70,16 +71,7 @@ pub fn run(
     plan: &FaultPlan,
     cfg: &ControllerConfig,
 ) -> Result<ControllerOutcome, String> {
-    if cfg.epoch_us == 0 {
-        return Err("epoch_us must be positive".to_string());
-    }
-    if cfg.n_epochs == 0 {
-        return Err("n_epochs must be positive".to_string());
-    }
-    let horizon_us = cfg
-        .epoch_us
-        .checked_mul(cfg.n_epochs)
-        .ok_or_else(|| "epoch_us × n_epochs overflows the clock".to_string())?;
+    let horizon_us = validate_horizon(cfg)?;
     plan.validate(inst.n_aps(), inst.n_users(), horizon_us)
         .map_err(|e| format!("invalid fault plan: {e}"))?;
 

@@ -104,7 +104,9 @@ pub fn lower_plan(
     Ok(queue)
 }
 
-fn validate_horizon(cfg: &ControllerConfig) -> Result<u64, String> {
+/// The run's horizon in µs, rejecting a zero epoch length, zero epochs,
+/// and a horizon that overflows the clock.
+pub(crate) fn validate_horizon(cfg: &ControllerConfig) -> Result<u64, String> {
     if cfg.epoch_us == 0 {
         return Err("epoch_us must be positive".to_string());
     }

@@ -20,9 +20,9 @@
 use serde::{Deserialize, Serialize};
 
 use crate::assoc::Association;
-use crate::ids::{ApId, UserId};
+use crate::ids::ApId;
 use crate::instance::Instance;
-use crate::partition::{MoveRec, PartitionError};
+use crate::partition::{check_in_range, MoveRec, PartitionError};
 
 /// Schema tag of serialized [`PartitionCheckpoint`]s.
 pub const CHECKPOINT_SCHEMA: &str = "mcast-ckpt/v1";
@@ -67,17 +67,7 @@ impl PartitionCheckpoint {
                 "checkpoint history does not end at the checkpointed association",
             ));
         }
-        for (i, &ap) in self.assoc.iter().enumerate() {
-            if let Some(a) = ap {
-                if inst.multicast_rate_to(a, UserId(i as u32)).is_none() {
-                    return Err(PartitionError::InvalidInitialAssociation {
-                        user: UserId(i as u32),
-                        ap: a,
-                    });
-                }
-            }
-        }
-        Ok(())
+        check_in_range(inst, self.assoc.iter().copied())
     }
 
     /// The checkpointed association as an [`Association`].

@@ -505,8 +505,8 @@ pub fn run_distributed(
 
 /// [`run_distributed`] plus the full decision trace: one [`MoveRec`] per
 /// applied move, in application order. The partitioned engine's
-/// equivalence tests compare this trace against
-/// [`run_distributed_partitioned_traced`](crate::partition::run_distributed_partitioned_traced)
+/// equivalence tests compare this trace against the one
+/// [`run_partitioned`](crate::partition::run_partitioned) collects
 /// to pin the *sequence* of decisions, not just the final state.
 pub fn run_distributed_traced(
     inst: &Instance,

@@ -82,8 +82,7 @@ pub use load::Load;
 pub use mla::{solve_mla, solve_mla_with, MlaAlgorithm};
 pub use mnu::{solve_mnu, solve_mnu_with, MnuConfig};
 pub use partition::{
-    resume_distributed_supervised, run_distributed_partitioned, run_distributed_partitioned_traced,
-    run_distributed_supervised, MoveRec, Partition, PartitionError, SupervisedOutcome,
+    run_partitioned, MoveRec, Partition, PartitionError, Start, SupervisedOutcome,
 };
 pub use rate::{Kbps, RatePolicy, RateStep, RateTable, RateTableError};
 pub use reference::{local_decision_reference, run_distributed_reference, ReferenceLedger};

@@ -5,8 +5,8 @@
 //! and users into `W` tiles, give each tile to a worker thread that owns a
 //! private slice of the load ledger, and exchange only the state of
 //! *boundary* APs — those reachable from another tile — at deterministic
-//! synchronization points. [`run_distributed_partitioned`] is the parallel
-//! driver; it is **bit-for-bit equivalent** to
+//! synchronization points. [`run_partitioned`] is the parallel driver; it
+//! is **bit-for-bit equivalent** to
 //! [`run_distributed`](crate::distributed::run_distributed), which remains
 //! the `W = 1` path and the equivalence oracle.
 //!
@@ -911,133 +911,22 @@ pub struct SupervisedOutcome {
     pub recovery: RecoveryReport,
 }
 
-/// Where a (possibly resumed) run starts: the association, the next
-/// round, and the carried move count / cycle history / trace prefix.
-struct StartState {
-    initial: Association,
-    start_round: usize,
-    moves: usize,
-    seen_list: Vec<Vec<Option<ApId>>>,
-    trace: Vec<MoveRec>,
-}
-
-impl StartState {
-    fn fresh(initial: Association) -> StartState {
-        let seen_list = vec![initial.to_vec()];
-        StartState {
-            initial,
-            start_round: 1,
-            moves: 0,
-            seen_list,
-            trace: Vec::new(),
-        }
-    }
-}
-
-/// Runs a distributed algorithm on `part.n_tiles()` worker threads,
-/// bit-for-bit equivalent to
-/// [`run_distributed`](crate::distributed::run_distributed) — identical
-/// association, rounds, moves, convergence and cycle flags, and decision
-/// sequence — for every partition and thread schedule (see the
-/// [module docs](self) for the argument).
-///
-/// An initial association associating a user with an AP out of its range
-/// is reported as [`PartitionError::InvalidInitialAssociation`] (the
-/// single-threaded engine panics on the same input).
-///
-/// # Panics
-///
-/// Panics if `part` does not fit `inst` or `initial` has the wrong size,
-/// and propagates worker panics (real bugs — including ghost-replica
-/// drift caught by the debug-build auditor). Use
-/// [`run_distributed_supervised`] for typed failure recovery.
-pub fn run_distributed_partitioned(
-    inst: &Instance,
-    config: &DistributedConfig,
-    initial: Association,
-    part: &Partition,
-) -> Result<DistributedOutcome, PartitionError> {
-    let opts = SuperviseOptions::default();
-    run_supervised_impl(
-        inst,
-        config,
-        part,
-        StartState::fresh(initial),
-        false,
-        &opts,
-        false,
-    )
-    .map(|s| s.outcome)
-}
-
-/// [`run_distributed_partitioned`] plus the decision trace, sorted by
-/// `(round, pos)` — byte-identical to the trace of
-/// [`run_distributed_traced`](crate::distributed::run_distributed_traced).
-pub fn run_distributed_partitioned_traced(
-    inst: &Instance,
-    config: &DistributedConfig,
-    initial: Association,
-    part: &Partition,
-) -> Result<(DistributedOutcome, Vec<MoveRec>), PartitionError> {
-    let opts = SuperviseOptions::default();
-    run_supervised_impl(
-        inst,
-        config,
-        part,
-        StartState::fresh(initial),
-        true,
-        &opts,
-        false,
-    )
-    .map(|s| (s.outcome, s.trace))
-}
-
-/// The supervised entry point: workers run under `catch_unwind`, the
-/// halo exchange honors [`SuperviseOptions::deadline`] with bounded
-/// resend retries, failures escalate along the recovery ladder
-/// (retry → quarantine tile → degrade to W = 1), checkpoints are written
-/// every [`SuperviseOptions::checkpoint_every`] rounds, and a
-/// [`ChaosPlan`] can inject scripted faults. The outcome and trace are
-/// byte-identical to the fault-free run under *any* plan.
-pub fn run_distributed_supervised(
-    inst: &Instance,
-    config: &DistributedConfig,
-    initial: Association,
-    part: &Partition,
-    opts: &SuperviseOptions<'_>,
-) -> Result<SupervisedOutcome, PartitionError> {
-    run_supervised_impl(
-        inst,
-        config,
-        part,
-        StartState::fresh(initial),
-        opts.trace,
-        opts,
-        true,
-    )
-}
-
-/// Resumes a supervised run from a checkpoint: shards are rebuilt from
-/// the checkpointed association with an all-dirty worklist (outcome- and
-/// trace-neutral), and the finished run's outcome and trace are
-/// byte-identical to the uninterrupted run's. The trace is continued iff
-/// the checkpointed run collected one (`cp.traced`).
-pub fn resume_distributed_supervised(
-    inst: &Instance,
-    config: &DistributedConfig,
-    part: &Partition,
-    cp: &PartitionCheckpoint,
-    opts: &SuperviseOptions<'_>,
-) -> Result<SupervisedOutcome, PartitionError> {
-    cp.validate(inst)?;
-    let start = StartState {
-        initial: cp.association(),
-        start_round: cp.round as usize + 1,
-        moves: cp.moves as usize,
-        seen_list: cp.seen.clone(),
-        trace: cp.trace.clone(),
-    };
-    run_supervised_impl(inst, config, part, start, cp.traced, opts, true)
+/// Where a partitioned run starts.
+#[derive(Debug, Clone)]
+pub enum Start<'a> {
+    /// Round 1 from an association. A user associated with an AP out of
+    /// its range is reported as
+    /// [`PartitionError::InvalidInitialAssociation`] (the single-threaded
+    /// engine panics on the same input).
+    Fresh(Association),
+    /// The round after a checkpoint, carrying its move count, cycle
+    /// history and trace prefix. Shards are rebuilt from the checkpointed
+    /// association with an all-dirty worklist (outcome- and
+    /// trace-neutral), so the finished run's outcome and trace are
+    /// byte-identical to the uninterrupted run's. The trace is continued
+    /// iff the checkpointed run collected one (`cp.traced`), whatever
+    /// [`SuperviseOptions::trace`] says.
+    Resume(&'a PartitionCheckpoint),
 }
 
 /// Collects one reply per still-`need`ed tile for `round`, enforcing the
@@ -1120,22 +1009,14 @@ fn stop_workers(cmd_txs: &[mpsc::Sender<Cmd>]) {
     }
 }
 
-fn run_supervised_impl(
+/// The tile ledgers silently skip untracked APs, so the structural
+/// validation the single-threaded ledger performs on construction is
+/// reproduced for every start association explicitly — as a typed error.
+pub(crate) fn check_in_range(
     inst: &Instance,
-    config: &DistributedConfig,
-    part: &Partition,
-    start: StartState,
-    collect_trace: bool,
-    opts: &SuperviseOptions<'_>,
-    recover: bool,
-) -> Result<SupervisedOutcome, PartitionError> {
-    assert_eq!(part.ap_tile.len(), inst.n_aps(), "partition AP count");
-    assert_eq!(part.user_tile.len(), inst.n_users(), "partition user count");
-    assert_eq!(start.initial.len(), inst.n_users(), "association size");
-    // The tile ledgers silently skip untracked APs, so the structural
-    // validation the single-threaded ledger performs on construction is
-    // reproduced here explicitly — as a typed error.
-    for (i, ap) in start.initial.iter().enumerate() {
+    assoc: impl Iterator<Item = Option<ApId>>,
+) -> Result<(), PartitionError> {
+    for (i, ap) in assoc.enumerate() {
         if let Some(a) = ap {
             if inst.multicast_rate_to(a, UserId(i as u32)).is_none() {
                 return Err(PartitionError::InvalidInitialAssociation {
@@ -1145,6 +1026,65 @@ fn run_supervised_impl(
             }
         }
     }
+    Ok(())
+}
+
+/// Runs a distributed algorithm on `part.n_tiles()` supervised worker
+/// threads, bit-for-bit equivalent to
+/// [`run_distributed`](crate::distributed::run_distributed) — identical
+/// association, rounds, moves, convergence and cycle flags, and decision
+/// sequence (the trace, sorted by `(round, pos)`, matches
+/// [`run_distributed_traced`](crate::distributed::run_distributed_traced))
+/// — for every partition and thread schedule (see the
+/// [module docs](self) for the argument).
+///
+/// Workers run under `catch_unwind`, the halo exchange honors
+/// [`SuperviseOptions::deadline`] with bounded resend retries, and
+/// failures — injected by a [`ChaosPlan`] or real, such as ghost-replica
+/// drift caught by the auditor — escalate along the recovery ladder
+/// (retry → quarantine tile → degrade to W = 1). Checkpoints are written
+/// every [`SuperviseOptions::checkpoint_every`] rounds. The outcome and
+/// trace are byte-identical to the fault-free run under *any* plan;
+/// [`SupervisedOutcome::recovery`] says what recovery was needed.
+///
+/// # Errors
+///
+/// [`PartitionError::InvalidInitialAssociation`] for an out-of-range
+/// start, and the checkpoint's validation error for a bad
+/// [`Start::Resume`].
+///
+/// # Panics
+///
+/// Panics if `part` does not fit `inst` or the association has the wrong
+/// size.
+pub fn run_partitioned(
+    inst: &Instance,
+    config: &DistributedConfig,
+    part: &Partition,
+    start: Start<'_>,
+    opts: &SuperviseOptions<'_>,
+) -> Result<SupervisedOutcome, PartitionError> {
+    assert_eq!(part.ap_tile.len(), inst.n_aps(), "partition AP count");
+    assert_eq!(part.user_tile.len(), inst.n_users(), "partition user count");
+    let (initial, start_round, start_moves, seen_list, mut trace, collect_trace) = match start {
+        Start::Fresh(initial) => {
+            assert_eq!(initial.len(), inst.n_users(), "association size");
+            check_in_range(inst, initial.iter())?;
+            let seen_list = vec![initial.to_vec()];
+            (initial, 1, 0, seen_list, Vec::new(), opts.trace)
+        }
+        Start::Resume(cp) => {
+            cp.validate(inst)?;
+            (
+                cp.association(),
+                cp.round as usize + 1,
+                cp.moves as usize,
+                cp.seen.clone(),
+                cp.trace.clone(),
+                cp.traced,
+            )
+        }
+    };
 
     let w = part.n_tiles;
     let order = config.order.order(inst.n_users());
@@ -1201,18 +1141,14 @@ fn run_supervised_impl(
         cmd_rxs.push(rx);
     }
 
-    let initial = start.initial;
     let mut global: Vec<Option<ApId>> = initial.to_vec();
-    let mut trace: Vec<MoveRec> = start.trace;
-    let mut seen: HashSet<Vec<Option<ApId>>> = start.seen_list.iter().cloned().collect();
+    let mut seen: HashSet<Vec<Option<ApId>>> = seen_list.iter().cloned().collect();
     // The insertion-ordered history is only needed for checkpoints.
     let mut seen_list = if opts.sink.is_some() {
-        start.seen_list
+        seen_list
     } else {
         Vec::new()
     };
-    let start_round = start.start_round;
-    let start_moves = start.moves;
     let initial_ref = &initial;
     let chain_ref = &chain;
     let rank_of_ref = &rank_of;
@@ -1371,10 +1307,6 @@ fn run_supervised_impl(
                         |t, m| per_tile[t] = m,
                     );
                     for f in failures {
-                        if !recover {
-                            stop_workers(&cmd_txs);
-                            panic!("{f}");
-                        }
                         let t = f.tile;
                         recovery.failures.push(f);
                         recovery.quarantined.push(t);
@@ -1449,10 +1381,6 @@ fn run_supervised_impl(
                         |_t, _m| {},
                     );
                     for f in failures {
-                        if !recover {
-                            stop_workers(&cmd_txs);
-                            panic!("{f}");
-                        }
                         let t = f.tile;
                         recovery.failures.push(f);
                         recovery.quarantined.push(t);
@@ -1483,10 +1411,6 @@ fn run_supervised_impl(
                         |t, m| per_tile[t] = m,
                     );
                     if !failures.is_empty() {
-                        if !recover {
-                            stop_workers(&cmd_txs);
-                            panic!("{}", failures[0]);
-                        }
                         recovery.failures.extend(failures);
                         // A serial round is a single global decision
                         // sequence — it cannot be patched per-tile. Void
@@ -1617,6 +1541,10 @@ mod tests {
     use crate::examples_paper::{figure1_instance, figure4_instance, figure4_start};
     use crate::instance::InstanceBuilder;
     use crate::supervise::ChaosOp;
+
+    fn fresh(inst: &Instance) -> Start<'static> {
+        Start::Fresh(Association::empty(inst.n_users()))
+    }
 
     fn outcomes_match(a: &DistributedOutcome, b: &DistributedOutcome) {
         assert_eq!(a.association, b.association);
@@ -1750,15 +1678,14 @@ mod tests {
                 };
                 let (single, strace) =
                     run_distributed_traced(&inst, &config, Association::empty(inst.n_users()));
-                let (par, ptrace) = run_distributed_partitioned_traced(
-                    &inst,
-                    &config,
-                    Association::empty(inst.n_users()),
-                    &part,
-                )
-                .unwrap();
-                outcomes_match(&par, &single);
-                assert_eq!(ptrace, strace);
+                let opts = SuperviseOptions {
+                    trace: true,
+                    ..SuperviseOptions::default()
+                };
+                let par = run_partitioned(&inst, &config, &part, fresh(&inst), &opts).unwrap();
+                outcomes_match(&par.outcome, &single);
+                assert_eq!(par.trace, strace);
+                assert!(par.recovery.clean());
             }
         }
     }
@@ -1775,7 +1702,15 @@ mod tests {
                 ..DistributedConfig::default()
             };
             let single = run_distributed(&inst, &config, figure4_start());
-            let par = run_distributed_partitioned(&inst, &config, figure4_start(), &part).unwrap();
+            let par = run_partitioned(
+                &inst,
+                &config,
+                &part,
+                Start::Fresh(figure4_start()),
+                &SuperviseOptions::default(),
+            )
+            .unwrap()
+            .outcome;
             assert!(par.cycle_detected);
             outcomes_match(&par, &single);
         }
@@ -1791,9 +1726,15 @@ mod tests {
             ..DistributedConfig::default()
         };
         let part = Partition::contiguous(&inst, 2).unwrap();
-        let out =
-            run_distributed_partitioned(&inst, &config, Association::empty(inst.n_users()), &part)
-                .unwrap();
+        let out = run_partitioned(
+            &inst,
+            &config,
+            &part,
+            fresh(&inst),
+            &SuperviseOptions::default(),
+        )
+        .unwrap()
+        .outcome;
         assert_eq!(out.rounds, 0);
         assert_eq!(out.moves, 0);
         assert!(!out.converged);
@@ -1808,8 +1749,14 @@ mod tests {
         // u0 can only reach ApId(0) — associating it with ApId(1) is
         // invalid.
         let bad = Association::from_vec(vec![Some(ApId(1)), None, None, None, None]);
-        let err = run_distributed_partitioned(&inst, &DistributedConfig::default(), bad, &part)
-            .unwrap_err();
+        let err = run_partitioned(
+            &inst,
+            &DistributedConfig::default(),
+            &part,
+            Start::Fresh(bad),
+            &SuperviseOptions::default(),
+        )
+        .unwrap_err();
         assert_eq!(
             err,
             PartitionError::InvalidInitialAssociation {
@@ -1827,10 +1774,15 @@ mod tests {
         let part = Partition::contiguous(&inst, 8).unwrap();
         let config = DistributedConfig::default();
         let single = run_distributed(&inst, &config, Association::empty(inst.n_users()));
-        let par =
-            run_distributed_partitioned(&inst, &config, Association::empty(inst.n_users()), &part)
-                .unwrap();
-        outcomes_match(&par, &single);
+        let par = run_partitioned(
+            &inst,
+            &config,
+            &part,
+            fresh(&inst),
+            &SuperviseOptions::default(),
+        )
+        .unwrap();
+        outcomes_match(&par.outcome, &single);
     }
 
     /// An injected worker panic is quarantined (Simultaneous) or degrades
@@ -1855,14 +1807,7 @@ mod tests {
                 chaos: Some(&chaos),
                 ..SuperviseOptions::default()
             };
-            let sup = run_distributed_supervised(
-                &inst,
-                &config,
-                Association::empty(inst.n_users()),
-                &part,
-                &opts,
-            )
-            .unwrap();
+            let sup = run_partitioned(&inst, &config, &part, fresh(&inst), &opts).unwrap();
             outcomes_match(&sup.outcome, &single);
             assert_eq!(sup.trace, strace);
             assert!(!sup.recovery.clean());
@@ -1898,14 +1843,7 @@ mod tests {
             chaos: Some(&chaos),
             ..SuperviseOptions::default()
         };
-        let sup = run_distributed_supervised(
-            &inst,
-            &config,
-            Association::empty(inst.n_users()),
-            &part,
-            &opts,
-        )
-        .unwrap();
+        let sup = run_partitioned(&inst, &config, &part, fresh(&inst), &opts).unwrap();
         outcomes_match(&sup.outcome, &single);
         assert_eq!(sup.trace, strace);
         assert!(
@@ -1950,23 +1888,16 @@ mod tests {
                 sink: Some(&sink),
                 ..SuperviseOptions::default()
             };
-            let full = run_distributed_supervised(
-                &inst,
-                &config,
-                Association::empty(inst.n_users()),
-                &part,
-                &opts,
-            )
-            .unwrap();
+            let full = run_partitioned(&inst, &config, &part, fresh(&inst), &opts).unwrap();
             assert!(full.recovery.checkpoints_written >= 1);
             let cps = sink.0.lock().unwrap().clone();
             assert_eq!(cps.len(), full.recovery.checkpoints_written);
             for cp in &cps {
-                let resumed = resume_distributed_supervised(
+                let resumed = run_partitioned(
                     &inst,
                     &config,
                     &part,
-                    cp,
+                    Start::Resume(cp),
                     &SuperviseOptions::default(),
                 )
                 .unwrap();
@@ -1974,6 +1905,102 @@ mod tests {
                 assert_eq!(resumed.trace, full.trace);
             }
         }
+    }
+
+    fn resume_config() -> DistributedConfig {
+        DistributedConfig {
+            mode: ExecutionMode::Simultaneous,
+            max_rounds: 30,
+            order: DecisionOrder::Shuffled(7),
+            ..DistributedConfig::default()
+        }
+    }
+
+    /// The outcome of an untraced run of the quadrant fixture and the
+    /// checkpoint it wrote after round 1.
+    fn untraced_round1_checkpoint(
+        inst: &Instance,
+        part: &Partition,
+    ) -> (DistributedOutcome, PartitionCheckpoint) {
+        let sink = MemSink::new();
+        let opts = SuperviseOptions {
+            checkpoint_every: Some(1),
+            sink: Some(&sink),
+            ..SuperviseOptions::default()
+        };
+        let full = run_partitioned(inst, &resume_config(), part, fresh(inst), &opts).unwrap();
+        let cp = sink.0.lock().unwrap()[0].clone();
+        assert!(!cp.traced);
+        (full.outcome, cp)
+    }
+
+    /// A resumed run traces iff the checkpointed run did, whatever
+    /// `opts.trace` says.
+    #[test]
+    fn resume_traces_iff_the_checkpoint_did() {
+        let (inst, part) = quadrant_fixture();
+        let (full, cp) = untraced_round1_checkpoint(&inst, &part);
+        // Moves after the checkpoint would show in a wrongly started trace.
+        assert!(full.moves > cp.moves as usize);
+        let traced = SuperviseOptions {
+            trace: true,
+            ..SuperviseOptions::default()
+        };
+        let resumed =
+            run_partitioned(&inst, &resume_config(), &part, Start::Resume(&cp), &traced).unwrap();
+        outcomes_match(&resumed.outcome, &full);
+        assert!(resumed.trace.is_empty());
+    }
+
+    /// A checkpoint that does not fit the instance is a typed error, one
+    /// per validation rule.
+    #[test]
+    fn resume_rejects_a_checkpoint_that_does_not_fit() {
+        let (inst, part) = quadrant_fixture();
+        let (_, cp) = untraced_round1_checkpoint(&inst, &part);
+        let resume = |cp: &PartitionCheckpoint| {
+            run_partitioned(
+                &inst,
+                &resume_config(),
+                &part,
+                Start::Resume(cp),
+                &SuperviseOptions::default(),
+            )
+            .unwrap_err()
+        };
+        let mut bad = cp.clone();
+        bad.schema = "other".to_string();
+        assert_eq!(
+            resume(&bad),
+            PartitionError::BadCheckpoint("unknown checkpoint schema")
+        );
+        let mut bad = cp.clone();
+        bad.assoc.pop();
+        assert_eq!(
+            resume(&bad),
+            PartitionError::BadCheckpoint(
+                "checkpoint association length does not match the instance"
+            )
+        );
+        let mut bad = cp.clone();
+        bad.seen.pop();
+        assert_eq!(
+            resume(&bad),
+            PartitionError::BadCheckpoint(
+                "checkpoint history does not end at the checkpointed association"
+            )
+        );
+        // u0 reaches a0, a1 and a3 only.
+        let mut bad = cp;
+        bad.assoc[0] = Some(ApId(8));
+        *bad.seen.last_mut().unwrap() = bad.assoc.clone();
+        assert_eq!(
+            resume(&bad),
+            PartitionError::InvalidInitialAssociation {
+                user: UserId(0),
+                ap: ApId(8),
+            }
+        );
     }
 
     /// The drift auditor names the first diverging (AP, session, rate)

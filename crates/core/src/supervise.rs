@@ -1,6 +1,6 @@
 //! Supervision vocabulary for the fault-tolerant partitioned runtime.
 //!
-//! [`run_distributed_supervised`](crate::partition::run_distributed_supervised)
+//! [`run_partitioned`](crate::partition::run_partitioned)
 //! runs every tile worker under `catch_unwind` and reports failures to
 //! the coordinator as typed [`WorkerFailure`]s instead of aborting the
 //! process. The coordinator recovers along a fixed escalation ladder —

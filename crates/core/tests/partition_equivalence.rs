@@ -1,7 +1,7 @@
 //! Property-based equivalence suite for the partitioned parallel engine:
 //! for random coverable instances, every worker count `W ∈ {1, 2, 4, 8}`,
 //! both execution modes, both policies, several hysteresis levels and
-//! decision orders, `run_distributed_partitioned` must reproduce
+//! decision orders, `run_partitioned` must reproduce
 //! `run_distributed` exactly — outcome, association, final ledger state,
 //! and the full decision sequence.
 //!
@@ -9,14 +9,15 @@
 //! runs a reduced count) and defaults to 32 — each case runs
 //! 2 policies × 2 modes × 4 worker counts = 16 engine comparisons.
 
+use std::time::Duration;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mcast_core::{
-    run_distributed_partitioned, run_distributed_partitioned_traced, run_distributed_supervised,
-    run_distributed_traced, ApId, Association, ChaosPlan, DecisionOrder, DistributedConfig,
-    ExecutionMode, Instance, InstanceBuilder, Kbps, Load, LoadLedger, Partition, Policy,
-    SuperviseOptions,
+    run_distributed_traced, run_partitioned, ApId, Association, ChaosPlan, DecisionOrder,
+    DistributedConfig, ExecutionMode, Instance, InstanceBuilder, Kbps, Load, LoadLedger, Partition,
+    Policy, Start, SuperviseOptions,
 };
 
 const RATES: [u32; 4] = [6, 12, 24, 54];
@@ -77,26 +78,33 @@ proptest! {
     /// The headline equivalence: identical `DistributedOutcome`
     /// (association, rounds, moves, flags), identical final ledger, and
     /// identical decision trace for every worker count, mode, policy,
-    /// hysteresis level and decision order — from both empty and
-    /// all-on-AP0 starts.
+    /// hysteresis level and decision order — from empty, all-on-AP0 and
+    /// partially associated (even users on AP 0) starts. Every run must
+    /// also finish without recovery: a caught worker failure, such as
+    /// ghost-replica drift found by the debug-build auditor, fails the
+    /// property.
     #[test]
     fn partitioned_matches_single_thread(
         inst in coverable_instance(),
         seed in 0u64..3,
         hyst_kind in 0u8..3,
         budget_raw in 0u8..2,
-        start_kind in 0u8..2,
+        start_kind in 0u8..3,
     ) {
         let hysteresis = match hyst_kind {
             0 => Load::ZERO,
             1 => Load::from_ratio(1, 20),
             _ => Load::from_ratio(1, 6),
         };
-        let initial = if start_kind == 0 {
-            Association::empty(inst.n_users())
-        } else {
-            // AP 0 reaches everyone by construction.
-            Association::from_vec(vec![Some(ApId(0)); inst.n_users()])
+        // AP 0 reaches everyone by construction.
+        let initial = match start_kind {
+            0 => Association::empty(inst.n_users()),
+            1 => Association::from_vec(vec![Some(ApId(0)); inst.n_users()]),
+            _ => Association::from_vec(
+                (0..inst.n_users())
+                    .map(|i| (i % 2 == 0).then_some(ApId(0)))
+                    .collect(),
+            ),
         };
         for policy in [Policy::MinTotalLoad, Policy::MinMaxVector] {
             for mode in [ExecutionMode::Serial, ExecutionMode::Simultaneous] {
@@ -115,16 +123,23 @@ proptest! {
                 let (single, strace) =
                     run_distributed_traced(&inst, &config, initial.clone());
                 let single_ledger = LoadLedger::new(&inst, single.association.clone());
+                let opts = SuperviseOptions {
+                    trace: true,
+                    ..SuperviseOptions::default()
+                };
                 for w in [1usize, 2, 4, 8] {
                     let part = Partition::contiguous(&inst, w).unwrap();
-                    let (par, ptrace) = run_distributed_partitioned_traced(
+                    let out = run_partitioned(
                         &inst,
                         &config,
-                        initial.clone(),
                         &part,
+                        Start::Fresh(initial.clone()),
+                        &opts,
                     )
                     .unwrap();
                     let ctx = format!("{policy:?}/{mode:?} W={w}");
+                    prop_assert!(out.recovery.clean(), "recovery {:?}: {}", out.recovery, ctx);
+                    let (par, ptrace) = (out.outcome, out.trace);
                     prop_assert_eq!(
                         &par.association,
                         &single.association,
@@ -182,7 +197,8 @@ proptest! {
         prop_assert_eq!(single.boundary_user_count(), 0);
     }
 
-    /// Repeated partitioned runs are deterministic (no schedule leakage).
+    /// Repeated partitioned runs are deterministic (no schedule leakage)
+    /// and need no recovery.
     #[test]
     fn partitioned_runs_are_deterministic(inst in coverable_instance()) {
         let config = DistributedConfig {
@@ -190,16 +206,18 @@ proptest! {
             ..DistributedConfig::default()
         };
         let part = Partition::contiguous(&inst, 4).unwrap();
-        let run = || run_distributed_partitioned(
+        let run = || run_partitioned(
             &inst,
             &config,
-            Association::empty(inst.n_users()),
             &part,
+            Start::Fresh(Association::empty(inst.n_users())),
+            &SuperviseOptions::default(),
         )
         .unwrap();
         let (a, b) = (run(), run());
-        prop_assert_eq!(a.association, b.association);
-        prop_assert_eq!(a.moves, b.moves);
+        prop_assert!(a.recovery.clean() && b.recovery.clean());
+        prop_assert_eq!(a.outcome.association, b.outcome.association);
+        prop_assert_eq!(a.outcome.moves, b.outcome.moves);
     }
 
     /// Chaos equivalence: a supervised run under a seeded fault plan
@@ -228,16 +246,19 @@ proptest! {
                     // executes, so every plan injects something.
                     let chaos =
                         ChaosPlan::seeded(chaos_seed, w, single.rounds.max(1) as u32);
+                    // Every seeded plan drops a reply; a short deadline
+                    // keeps each drop from waiting out the 250 ms default.
                     let opts = SuperviseOptions {
+                        deadline: Some(Duration::from_millis(10)),
                         trace: true,
                         chaos: Some(&chaos),
                         ..SuperviseOptions::default()
                     };
-                    let out = run_distributed_supervised(
+                    let out = run_partitioned(
                         &inst,
                         &config,
-                        initial.clone(),
                         &part,
+                        Start::Fresh(initial.clone()),
                         &opts,
                     )
                     .unwrap();

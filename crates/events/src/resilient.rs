@@ -28,10 +28,12 @@ use crate::event::Event;
 use crate::journal::JournalError;
 use crate::publish::{EventPublisher, SinkPressure};
 
-/// Bounded retry with capped exponential backoff.
+/// Bounded retry with capped exponential backoff, shared by the
+/// resilient publisher (per append) and the experiment trial runner (per
+/// trial).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total attempts per append (first try included). At least 1.
+    /// Total attempts per operation (first try included). At least 1.
     pub max_attempts: u32,
     /// Backoff before the first retry, in milliseconds (doubles per
     /// retry).
@@ -51,7 +53,9 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    fn backoff(&self, retry_index: u32) -> Duration {
+    /// The wait before retry `retry_index + 1`: the base doubled
+    /// `retry_index` times, capped; saturates rather than overflowing.
+    pub fn backoff(&self, retry_index: u32) -> Duration {
         let ms = self
             .backoff_ms_base
             .saturating_mul(1u64 << retry_index.min(16))
@@ -287,6 +291,26 @@ mod tests {
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("mcast_resilient_{name}_{}", std::process::id()))
+    }
+
+    /// The backoff doubles from the base up to the cap, and saturates
+    /// where a plain multiply would overflow.
+    #[test]
+    fn backoff_doubles_caps_and_saturates() {
+        let p = RetryPolicy {
+            max_attempts: 2,
+            backoff_ms_base: 10,
+            backoff_ms_cap: 200,
+        };
+        let ms: Vec<u128> = (0..6).map(|k| p.backoff(k).as_millis()).collect();
+        assert_eq!(ms, [10, 20, 40, 80, 160, 200]);
+        assert_eq!(p.backoff(u32::MAX), Duration::from_millis(200));
+        let huge = RetryPolicy {
+            backoff_ms_base: u64::MAX / 2,
+            backoff_ms_cap: u64::MAX,
+            ..p
+        };
+        assert_eq!(huge.backoff(40), Duration::from_millis(u64::MAX));
     }
 
     #[test]

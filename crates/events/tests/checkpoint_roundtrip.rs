@@ -16,8 +16,8 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 use mcast_core::{
-    resume_distributed_supervised, run_distributed_supervised, Association, DistributedConfig,
-    ExecutionMode, Instance, InstanceBuilder, Kbps, Load, Partition, Policy, SuperviseOptions,
+    run_partitioned, Association, DistributedConfig, ExecutionMode, Instance, InstanceBuilder,
+    Kbps, Load, Partition, Policy, Start, SuperviseOptions,
 };
 use mcast_events::{load_latest_checkpoint, PartitionCheckpointSink};
 
@@ -115,11 +115,11 @@ proptest! {
                         trace: true,
                         ..SuperviseOptions::default()
                     };
-                    let oracle = run_distributed_supervised(
+                    let oracle = run_partitioned(
                         &inst,
                         &config,
-                        initial.clone(),
                         &part,
+                        Start::Fresh(initial.clone()),
                         &traced,
                     )
                     .unwrap();
@@ -132,11 +132,11 @@ proptest! {
                         sink: Some(&sink),
                         ..SuperviseOptions::default()
                     };
-                    let checkpointed = run_distributed_supervised(
+                    let checkpointed = run_partitioned(
                         &inst,
                         &config,
-                        initial.clone(),
                         &part,
+                        Start::Fresh(initial.clone()),
                         &opts,
                     )
                     .unwrap();
@@ -162,11 +162,11 @@ proptest! {
                     // A short run (or a deep cut) can leave no frame at
                     // all; restore is only defined when one survives.
                     if let Some(cp) = restored {
-                        let resumed = resume_distributed_supervised(
+                        let resumed = run_partitioned(
                             &inst,
                             &config,
                             &part,
-                            &cp,
+                            Start::Resume(&cp),
                             &traced,
                         )
                         .unwrap();

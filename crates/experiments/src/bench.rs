@@ -31,9 +31,8 @@ use std::time::Instant;
 
 use mcast_core::reduction::Reduction;
 use mcast_core::{
-    resume_distributed_supervised, run_distributed, run_distributed_partitioned,
-    run_distributed_reference, run_distributed_supervised, Association, DistributedConfig,
-    DistributedOutcome, ExecutionMode, Policy, SuperviseOptions,
+    run_distributed, run_distributed_reference, run_partitioned, Association, DistributedConfig,
+    DistributedOutcome, ExecutionMode, Policy, Start, SuperviseOptions,
 };
 use mcast_covering::{greedy_mcg, greedy_set_cover, reference, solve_scg, SetSystemBuilder};
 use mcast_events::{load_checkpoints, PartitionCheckpointSink};
@@ -367,7 +366,8 @@ pub fn distributed_report(opts: &Options) -> BenchReport {
     // "reference" is the single-threaded fast engine, so `speedup` is the
     // parallel scaling factor at each worker count — every entry must
     // still be outputs-identical (the engine is deterministic by
-    // construction, see DESIGN.md §12). On a host with fewer cores than
+    // construction, see DESIGN.md §12) and recovery-free, so a caught
+    // worker failure cannot pass unnoticed. On a host with fewer cores than
     // workers (`host_threads` above), factors below 1.0 are the honest
     // cost of the round barriers and halo merges, not a regression.
     let config = DistributedConfig {
@@ -382,8 +382,14 @@ pub fn distributed_report(opts: &Options) -> BenchReport {
     for w in [1usize, 2, 4, 8] {
         let part = tile_partition(&scenario, w);
         let (par_ms, par_out) = time_best_of(3, || {
-            run_distributed_partitioned(inst, &config, Association::empty(n_users), &part)
-                .expect("empty association is always in range")
+            run_partitioned(
+                inst,
+                &config,
+                &part,
+                Start::Fresh(Association::empty(n_users)),
+                &SuperviseOptions::default(),
+            )
+            .expect("empty association is always in range")
         });
         benches.insert(
             format!("partitioned_w{w}"),
@@ -394,7 +400,7 @@ pub fn distributed_report(opts: &Options) -> BenchReport {
                 ),
                 single_ms,
                 par_ms,
-                outcomes_equal(&single_out, &par_out),
+                outcomes_equal(&single_out, &par_out.outcome) && par_out.recovery.clean(),
             ),
         );
     }
@@ -421,8 +427,14 @@ pub fn distributed_report(opts: &Options) -> BenchReport {
         ..SuperviseOptions::default()
     };
     let supervised = |sup: &SuperviseOptions| {
-        run_distributed_supervised(inst, &config, Association::empty(n_users), &part, sup)
-            .expect("empty association is always in range")
+        run_partitioned(
+            inst,
+            &config,
+            &part,
+            Start::Fresh(Association::empty(n_users)),
+            sup,
+        )
+        .expect("empty association is always in range")
     };
     let (plain_ms, plain_out) = time_best_of(3, || supervised(&plain_opts));
     for k in [10usize, 50] {
@@ -468,7 +480,7 @@ pub fn distributed_report(opts: &Options) -> BenchReport {
         .get(cps.len() / 2)
         .expect("a multi-round run writes at least one checkpoint");
     let (restore_ms, restored) = time_best_of(3, || {
-        resume_distributed_supervised(inst, &config, &part, mid, &plain_opts)
+        run_partitioned(inst, &config, &part, Start::Resume(mid), &plain_opts)
             .expect("a checkpoint written by this run restores")
     });
     benches.insert(

@@ -2,7 +2,7 @@
 //! recovery.
 //!
 //! The command runs the supervised partitioned engine
-//! ([`mcast_core::run_distributed_supervised`]) on a pinned scenario
+//! ([`mcast_core::run_partitioned`]) on a pinned scenario
 //! under a seeded [`ChaosPlan`] — worker panics, dropped/duplicated/
 //! delayed halo replies, torn checkpoint writes — while writing recovery
 //! snapshots to `<out>/chaos_<mode>.ckpt` (crc32-framed, the journal
@@ -14,7 +14,7 @@
 //!
 //! `--resume` is the crash-recovery path: it loads the latest whole
 //! checkpoint frame (torn tails truncated), resumes the run from it
-//! ([`mcast_core::resume_distributed_supervised`]), and holds the
+//! ([`mcast_core::Start::Resume`]), and holds the
 //! resumed run to the *same* identity bar. `<out>/chaos.json` contains
 //! only deterministic fields, so a killed-and-resumed run diffs clean
 //! against an uninterrupted one.
@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use mcast_core::{
-    resume_distributed_supervised, run_distributed_supervised, run_distributed_traced, Association,
-    ChaosPlan, DistributedConfig, ExecutionMode, Policy, SuperviseOptions,
+    run_distributed_traced, run_partitioned, Association, ChaosPlan, DistributedConfig,
+    ExecutionMode, Policy, Start, SuperviseOptions,
 };
 use mcast_events::{load_latest_checkpoint, PartitionCheckpointSink};
 use mcast_topology::{tile_partition, ScenarioConfig};
@@ -196,11 +196,11 @@ pub fn run_chaos(opts: &Options) -> Result<String, CliError> {
             ..SuperviseOptions::default()
         };
         let resumed_from = restored.as_ref().map(|cp| cp.round);
-        let out = match &restored {
-            Some(cp) => resume_distributed_supervised(inst, &config, &part, cp, &sup_opts),
-            None => run_distributed_supervised(inst, &config, initial, &part, &sup_opts),
-        }
-        .map_err(|e| io_err(format!("supervised run ({key}): {e}")))?;
+        let start = restored
+            .as_ref()
+            .map_or(Start::Fresh(initial), Start::Resume);
+        let out = run_partitioned(inst, &config, &part, start, &sup_opts)
+            .map_err(|e| io_err(format!("supervised run ({key}): {e}")))?;
 
         let identical = out.outcome.association == oracle.association
             && out.outcome.rounds == oracle.rounds

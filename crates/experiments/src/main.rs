@@ -31,13 +31,14 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
+use mcast_events::RetryPolicy;
 use mcast_experiments::cli::CliError;
 use mcast_experiments::figures::{
     ablations, channels, controller, faults, fig10, fig11, fig12, fig9, mobility, revenue, table1,
     validate,
 };
 use mcast_experiments::report::{render_table, write_csv};
-use mcast_experiments::runner::{RetryPolicy, Runner};
+use mcast_experiments::runner::{Runner, TRIAL_RETRY};
 use mcast_experiments::stats::Figure;
 use mcast_experiments::Options;
 
@@ -210,7 +211,7 @@ fn main() -> ExitCode {
         let journal_path = opts.out_dir.join(".runstate").join("journal.jsonl");
         let policy = RetryPolicy {
             max_attempts: opts.retries.max(1),
-            ..RetryPolicy::default()
+            ..TRIAL_RETRY
         };
         let deadline = Duration::from_secs(opts.deadline_s);
         match Runner::with_journal(&journal_path, opts.resume, policy, deadline) {

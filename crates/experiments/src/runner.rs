@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use mcast_events::RetryPolicy;
 use serde::{Deserialize, Serialize, Value};
 
 use crate::journal::{Journal, JournalError};
@@ -130,33 +131,13 @@ impl From<JournalError> for RunError {
     }
 }
 
-/// Bounded-retry policy with capped exponential backoff.
-#[derive(Debug, Clone, Copy)]
-pub struct RetryPolicy {
-    /// Total attempts per trial (1 = no retries).
-    pub max_attempts: u32,
-    /// Backoff before retry `k` is `base * 2^(k-1)`, capped at `max`.
-    pub base_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(10),
-            max_backoff: Duration::from_millis(200),
-        }
-    }
-}
-
-impl RetryPolicy {
-    fn backoff(&self, retry_index: u32) -> Duration {
-        let factor = 1u32 << retry_index.min(16);
-        (self.base_backoff * factor).min(self.max_backoff)
-    }
-}
+/// The trial runner's retry policy: two attempts per trial, with a
+/// 10 ms backoff doubling up to 200 ms between them.
+pub const TRIAL_RETRY: RetryPolicy = RetryPolicy {
+    max_attempts: 2,
+    backoff_ms_base: 10,
+    backoff_ms_cap: 200,
+};
 
 /// An injected fault for crash-safety testing: any trial whose
 /// [`TrialKey::id`] contains `pattern` panics on its first
@@ -394,7 +375,7 @@ impl Runner {
         Runner::build(
             None,
             HashMap::new(),
-            RetryPolicy::default(),
+            TRIAL_RETRY,
             Duration::ZERO,
             Vec::new(),
             0,
@@ -673,8 +654,8 @@ mod tests {
         let runner = Runner::with_config(
             RetryPolicy {
                 max_attempts: 3,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(2),
+                backoff_ms_base: 1,
+                backoff_ms_cap: 2,
             },
             Vec::new(),
         );
@@ -698,8 +679,8 @@ mod tests {
         let runner = Runner::with_config(
             RetryPolicy {
                 max_attempts: 3,
-                base_backoff: Duration::from_millis(1),
-                max_backoff: Duration::from_millis(1),
+                backoff_ms_base: 1,
+                backoff_ms_cap: 1,
             },
             Injection::parse_list("seed=5:2"),
         );
@@ -741,8 +722,7 @@ mod tests {
         let path = tmp("replay.jsonl");
         let _ = std::fs::remove_file(&path);
         {
-            let runner =
-                Runner::with_journal(&path, false, RetryPolicy::default(), Duration::ZERO).unwrap();
+            let runner = Runner::with_journal(&path, false, TRIAL_RETRY, Duration::ZERO).unwrap();
             for seed in 0..4u64 {
                 let v: Result<f64, _> = runner.trial(&key(seed), || Ok(seed as f64 * 0.1 + 0.05));
                 v.unwrap();
@@ -750,8 +730,7 @@ mod tests {
             assert_eq!(runner.report().executed, 4);
         }
         {
-            let runner =
-                Runner::with_journal(&path, true, RetryPolicy::default(), Duration::ZERO).unwrap();
+            let runner = Runner::with_journal(&path, true, TRIAL_RETRY, Duration::ZERO).unwrap();
             for seed in 0..4u64 {
                 let v: f64 = runner
                     .trial(&key(seed), || -> Result<f64, TrialError> {
@@ -772,13 +751,11 @@ mod tests {
     fn fresh_run_truncates_previous_journal() {
         let path = tmp("fresh.jsonl");
         {
-            let runner =
-                Runner::with_journal(&path, false, RetryPolicy::default(), Duration::ZERO).unwrap();
+            let runner = Runner::with_journal(&path, false, TRIAL_RETRY, Duration::ZERO).unwrap();
             let _ = runner.trial(&key(0), || Ok(1u64));
         }
         {
-            let runner =
-                Runner::with_journal(&path, false, RetryPolicy::default(), Duration::ZERO).unwrap();
+            let runner = Runner::with_journal(&path, false, TRIAL_RETRY, Duration::ZERO).unwrap();
             assert!(!runner.is_cached(&key(0)));
         }
         let _ = std::fs::remove_file(path);

@@ -6,8 +6,9 @@
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
+use mcast_events::RetryPolicy;
 use mcast_experiments::report::write_csv;
-use mcast_experiments::runner::{Injection, RetryPolicy, Runner, TrialKey};
+use mcast_experiments::runner::{Injection, Runner, TrialKey, TRIAL_RETRY};
 use mcast_experiments::stats::{Figure, Series, Summary};
 
 const XS: [f64; 3] = [10.0, 20.0, 40.0];
@@ -71,13 +72,8 @@ fn journal_path(dir: &Path) -> PathBuf {
 
 /// One full run into `dir` (fresh or resumed); returns the CSV bytes.
 fn run_to_csv(dir: &Path, resume: bool) -> Vec<u8> {
-    let runner = Runner::with_journal(
-        &journal_path(dir),
-        resume,
-        RetryPolicy::default(),
-        Duration::ZERO,
-    )
-    .unwrap();
+    let runner =
+        Runner::with_journal(&journal_path(dir), resume, TRIAL_RETRY, Duration::ZERO).unwrap();
     let fig = run_sweep(&runner);
     write_csv(&fig, dir).unwrap();
     std::fs::read(dir.join("resume_it.csv")).unwrap()
@@ -117,13 +113,8 @@ fn resume_after_truncation_at_any_offset_is_byte_identical() {
         std::fs::create_dir_all(dir.join(".runstate")).unwrap();
         std::fs::write(journal_path(&dir), &full_journal[..cut]).unwrap();
 
-        let runner = Runner::with_journal(
-            &journal_path(&dir),
-            true,
-            RetryPolicy::default(),
-            Duration::ZERO,
-        )
-        .unwrap();
+        let runner =
+            Runner::with_journal(&journal_path(&dir), true, TRIAL_RETRY, Duration::ZERO).unwrap();
         let fig = run_sweep(&runner);
         write_csv(&fig, &dir).unwrap();
         let resumed_csv = std::fs::read(dir.join("resume_it.csv")).unwrap();
@@ -145,13 +136,8 @@ fn resume_after_truncation_at_any_offset_is_byte_identical() {
 
         // The healed journal must now replay completely: a second resume
         // sees every trial cached and executes nothing.
-        let again = Runner::with_journal(
-            &journal_path(&dir),
-            true,
-            RetryPolicy::default(),
-            Duration::ZERO,
-        )
-        .unwrap();
+        let again =
+            Runner::with_journal(&journal_path(&dir), true, TRIAL_RETRY, Duration::ZERO).unwrap();
         let fig = run_sweep(&again);
         write_csv(&fig, &dir).unwrap();
         assert_eq!(std::fs::read(dir.join("resume_it.csv")).unwrap(), clean_csv);
@@ -171,8 +157,8 @@ fn injected_panic_becomes_typed_error_with_retry_accounting() {
     let runner = Runner::with_config(
         RetryPolicy {
             max_attempts: 3,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
+            backoff_ms_base: 1,
+            backoff_ms_cap: 2,
         },
         Injection::parse_list("x=20|seed=1|algo=B:*"),
     );
@@ -200,8 +186,8 @@ fn transient_injected_failure_recovers_and_whole_point_fails_to_a_hole() {
     let runner = Runner::with_config(
         RetryPolicy {
             max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
+            backoff_ms_base: 1,
+            backoff_ms_cap: 2,
         },
         Injection::parse_list("x=10|seed=2|algo=A:1"),
     );
@@ -218,8 +204,8 @@ fn transient_injected_failure_recovers_and_whole_point_fails_to_a_hole() {
     let runner = Runner::with_config(
         RetryPolicy {
             max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(2),
+            backoff_ms_base: 1,
+            backoff_ms_cap: 2,
         },
         Injection::parse_list("x=40|seed:*"),
     );

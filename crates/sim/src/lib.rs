@@ -33,12 +33,10 @@ mod airtime;
 mod engine;
 mod event;
 mod messages;
-mod partitioned;
 mod report;
 
 pub use airtime::{measure_airtime, AirtimeReport};
 pub use engine::{Activation, Departure, SimConfig, Simulator, WakeSchedule};
 pub use event::Time;
 pub use messages::{Message, MessageBody};
-pub use partitioned::{evict_downed, rebalance_partitioned};
 pub use report::SimReport;

@@ -18,7 +18,7 @@ use crate::grid::SpatialGrid;
 use crate::scenario::Scenario;
 
 /// Partitions `scenario` into `n_tiles` vertical stripes of grid cells
-/// for [`run_distributed_partitioned`](mcast_core::run_distributed_partitioned).
+/// for [`run_partitioned`](mcast_core::run_partitioned).
 ///
 /// Deterministic: the stripe of a position depends only on the AP layout
 /// and the rate table, never on thread scheduling or iteration order.

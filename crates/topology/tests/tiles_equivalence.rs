@@ -5,15 +5,18 @@
 //! * `Serial` mode reproduces the single-threaded decision sequence
 //!   byte-identically (same `MoveRec`s in the same order) and the same
 //!   final association, and
-//! * `Simultaneous` mode reproduces the outcome and trace as well.
+//! * `Simultaneous` mode reproduces the outcome and trace as well,
+//!
+//! and no run needs recovery (a caught worker failure, such as
+//! ghost-replica drift, fails the test).
 //!
 //! The unit/property suites in `mcast-core` cover random hand-built
 //! instances; this test covers the geometric partitions actually used by
 //! the bench harness.
 
 use mcast_core::{
-    run_distributed_partitioned_traced, run_distributed_traced, Association, DecisionOrder,
-    DistributedConfig, DistributedOutcome, ExecutionMode, Load, Policy,
+    run_distributed_traced, run_partitioned, Association, DecisionOrder, DistributedConfig,
+    DistributedOutcome, ExecutionMode, Load, Policy, Start, SuperviseOptions,
 };
 use mcast_topology::{tile_partition, ScenarioConfig};
 
@@ -55,20 +58,26 @@ fn reference_scenarios_byte_identical() {
                     };
                     let (single, strace) =
                         run_distributed_traced(inst, &config, Association::empty(inst.n_users()));
+                    let opts = SuperviseOptions {
+                        trace: true,
+                        ..SuperviseOptions::default()
+                    };
                     for w in [1usize, 2, 4, 8] {
                         let part = tile_partition(&scenario, w);
-                        let (par, ptrace) = run_distributed_partitioned_traced(
+                        let par = run_partitioned(
                             inst,
                             &config,
-                            Association::empty(inst.n_users()),
                             &part,
+                            Start::Fresh(Association::empty(inst.n_users())),
+                            &opts,
                         )
                         .unwrap();
                         let ctx = format!(
                             "{n_aps} APs / {n_users} users seed {seed}, {mode:?}/{policy:?}/{order:?}, W={w}"
                         );
-                        outcomes_match(&par, &single, &ctx);
-                        assert_eq!(ptrace, strace, "decision sequence diverged: {ctx}");
+                        assert!(par.recovery.clean(), "recovery {:?}: {ctx}", par.recovery);
+                        outcomes_match(&par.outcome, &single, &ctx);
+                        assert_eq!(par.trace, strace, "decision sequence diverged: {ctx}");
                     }
                 }
             }
