@@ -15,9 +15,10 @@ use crate::solution::{Objective, Solution, SolveError};
 /// Configuration for [`solve_bla_with`].
 #[derive(Debug, Clone)]
 pub struct BlaConfig {
-    /// Number of evenly spaced candidate budgets between the largest
-    /// single-set cost and the fallback upper bound (paper: "try several
-    /// (a constant number) values of `B*` between `c_max` and 1").
+    /// Number of geometrically spaced candidate budgets from `L/2` up to
+    /// `max(1, c_max)`, where `L` is the certified lower bound described on
+    /// [`solve_bla_with`] (paper: "try several (a constant number) values
+    /// of `B*` between `c_max` and 1").
     pub grid_points: usize,
 }
 
@@ -54,11 +55,12 @@ pub fn solve_bla(inst: &Instance) -> Result<Solution, SolveError> {
 ///
 /// The candidate `B*` grid contains:
 /// * the distinct set costs of the reduction (the natural breakpoints),
-/// * `grid_points` evenly spaced values from `L` to `max(1, c_max)`, where
-///   `L = max over users of the cheapest set covering them` — a certified
-///   lower bound on the optimum, so the grid brackets it (the paper says
-///   "between c_max and 1"; extending the low end below `c_max` only adds
-///   candidates and never worsens the best-of-grid result),
+/// * `grid_points` geometrically spaced values from `L/2` up to
+///   `max(1, c_max)` (quantized to 1/10000), where `L = max over users of
+///   the cheapest set covering them` — a certified lower bound on the
+///   optimum, so the grid brackets it (the paper says "between c_max and
+///   1"; extending the low end below `c_max` only adds candidates and
+///   never worsens the best-of-grid result),
 /// * and the sum of all set costs as an always-feasible fallback (so a
 ///   coverable instance never fails, even if its optimum exceeds load 1).
 ///
@@ -210,6 +212,46 @@ mod tests {
             solve_bla(&inst).unwrap_err(),
             SolveError::Uncoverable { .. }
         ));
+    }
+
+    /// `solve_scg` skips the grid candidates that replay the previous
+    /// run; the try-every-candidate oracle must agree on every output.
+    #[test]
+    fn window_skip_matches_reference_scg_on_generated_wlans() {
+        use crate::generated::{cross, paper_density, paper_instance};
+        let mut instances = Vec::new();
+        for seed in 1..=3 {
+            instances.push(paper_density(seed, 40));
+            instances.push(paper_instance(seed, |cfg| {
+                // Figure 12's shape: 30 APs on a 600 m square.
+                cfg.n_aps = 30;
+                cfg.n_users = 60;
+                cfg.width_m = 600.0;
+                cfg.height_m = 600.0;
+            }));
+            instances.push(paper_instance(seed, |cfg| {
+                cfg.n_aps = 40;
+                cfg.n_users = 80;
+                let kbps = [500, 1000, 1500, 3000, 4000].map(Kbps);
+                cfg.session_rates = Some(cross(&kbps.to_vec()));
+            }));
+            instances.push(paper_instance(seed, |cfg| {
+                cfg.n_aps = 40;
+                cfg.n_users = 80;
+                cfg.rate_policy = cross(&crate::rate::RatePolicy::BasicOnly);
+            }));
+        }
+        for inst in &instances {
+            let red = Reduction::build(inst);
+            let system = red.system();
+            let candidates = budget_grid(system, 16);
+            let fast = solve_scg(system, &candidates).unwrap();
+            let slow = mcast_covering::reference::solve_scg(system, &candidates).unwrap();
+            assert_eq!(fast.cover(), slow.cover());
+            assert_eq!(fast.max_group_cost(), slow.max_group_cost());
+            assert_eq!(fast.budget_used(), slow.budget_used());
+            assert_eq!(fast.iterations(), slow.iterations());
+        }
     }
 
     /// Two identical APs, two users each requesting distinct sessions:

@@ -41,6 +41,8 @@
 #![warn(missing_docs)]
 
 mod assoc;
+#[cfg(test)]
+mod generated;
 mod ids;
 mod instance;
 mod load;

@@ -44,19 +44,36 @@ impl Reduction {
     /// Duplicate sets — e.g. two rates reaching exactly the same members —
     /// are pruned, keeping the cheaper (higher-rate) one; this never
     /// changes what any solver can achieve.
+    ///
+    /// Each AP's reachable users are bucketed by session once, with the
+    /// rate the AP must use for each; a set is then one filter of its
+    /// bucket. That is O(links × rates) overall, where a scan of every
+    /// session's users per (AP, session, rate) would be
+    /// O(APs × sessions × rates × users per session).
     pub fn build(inst: &Instance) -> Reduction {
         let mut builder = SetSystemBuilder::<Load>::new(inst.n_users());
         builder.ensure_groups(inst.n_aps());
         let mut choices: Vec<Choice> = Vec::new();
 
-        // Pre-group users by session for membership scans.
-        let mut by_session: Vec<Vec<UserId>> = vec![Vec::new(); inst.n_sessions()];
-        for u in inst.users() {
-            by_session[inst.user_session(u).index()].push(u);
-        }
-
+        // `buckets[s]`: AP `a`'s reachable requesters of session `s`, with
+        // the multicast rate each needs, ascending user id; `touched` lists
+        // the non-empty buckets so clearing costs only what `a` filled.
+        let mut buckets: Vec<Vec<(u32, Kbps)>> = vec![Vec::new(); inst.n_sessions()];
+        let mut touched: Vec<SessionId> = Vec::new();
         for a in inst.aps() {
-            for s in inst.sessions() {
+            for &u in inst.reachable_users(a) {
+                let s = inst.user_session(u);
+                let rate = inst
+                    .multicast_rate_to(a, u)
+                    .expect("reachable users have a link");
+                if buckets[s.index()].is_empty() {
+                    touched.push(s);
+                }
+                buckets[s.index()].push((u.0, rate));
+            }
+            touched.sort_unstable();
+            for &s in &touched {
+                let bucket = &buckets[s.index()];
                 let stream = inst.session_rate(s);
                 let mut last_members: Option<Vec<u32>> = None;
                 // Ascending rates: members shrink as the rate climbs, cost
@@ -64,10 +81,10 @@ impl Reduction {
                 // the cheaper (later) one.
                 let mut pending: Vec<(Vec<u32>, Kbps)> = Vec::new();
                 for &r in inst.multicast_rates() {
-                    let members: Vec<u32> = by_session[s.index()]
+                    let members: Vec<u32> = bucket
                         .iter()
-                        .filter(|&&u| inst.multicast_rate_to(a, u).is_some_and(|link| link >= r))
-                        .map(|u| u.0)
+                        .filter(|&&(_, link)| link >= r)
+                        .map(|&(u, _)| u)
                         .collect();
                     if members.is_empty() {
                         continue;
@@ -89,6 +106,9 @@ impl Reduction {
                         tx_rate: r,
                     });
                 }
+            }
+            for s in touched.drain(..) {
+                buckets[s.index()].clear();
             }
         }
 
@@ -163,6 +183,109 @@ mod tests {
 
     fn mbps(m: u32) -> Kbps {
         Kbps::from_mbps(m)
+    }
+
+    /// The per-session scan `Reduction::build` replaced: for every (AP,
+    /// session, rate), filter all of the session's users by a link lookup.
+    /// Kept as the oracle the bucketed build must match set for set.
+    fn build_by_session_scan(inst: &Instance) -> Reduction {
+        let mut builder = SetSystemBuilder::<Load>::new(inst.n_users());
+        builder.ensure_groups(inst.n_aps());
+        let mut choices: Vec<Choice> = Vec::new();
+        let mut by_session: Vec<Vec<UserId>> = vec![Vec::new(); inst.n_sessions()];
+        for u in inst.users() {
+            by_session[inst.user_session(u).index()].push(u);
+        }
+        for a in inst.aps() {
+            for s in inst.sessions() {
+                let stream = inst.session_rate(s);
+                let mut last_members: Option<Vec<u32>> = None;
+                let mut pending: Vec<(Vec<u32>, Kbps)> = Vec::new();
+                for &r in inst.multicast_rates() {
+                    let members: Vec<u32> = by_session[s.index()]
+                        .iter()
+                        .filter(|&&u| inst.multicast_rate_to(a, u).is_some_and(|link| link >= r))
+                        .map(|u| u.0)
+                        .collect();
+                    if members.is_empty() {
+                        continue;
+                    }
+                    if last_members.as_ref() == Some(&members) {
+                        pending.pop();
+                    }
+                    last_members = Some(members.clone());
+                    pending.push((members, r));
+                }
+                for (members, r) in pending {
+                    builder
+                        .push_set(members, Load::per_transmission(stream, r), a.0)
+                        .unwrap();
+                    choices.push(Choice {
+                        ap: a,
+                        session: s,
+                        tx_rate: r,
+                    });
+                }
+            }
+        }
+        Reduction {
+            system: builder.build().unwrap(),
+            choices,
+            budgets: inst.aps().map(|a| inst.budget(a)).collect(),
+        }
+    }
+
+    /// `Reduction::build` equals the per-session scan: same sets in the
+    /// same order, with the same members, costs, groups and choices.
+    fn assert_matches_scan(inst: &Instance) {
+        let fast = Reduction::build(inst);
+        let scan = build_by_session_scan(inst);
+        let (f, s) = (fast.system(), scan.system());
+        assert_eq!(f.n_elements(), s.n_elements());
+        assert_eq!(f.n_groups(), s.n_groups());
+        assert_eq!(f.n_sets(), s.n_sets());
+        for i in 0..f.n_sets() {
+            let id = SetId(i as u32);
+            assert_eq!(f.set(id).members(), s.set(id).members(), "set {i}");
+            assert_eq!(f.set(id).cost(), s.set(id).cost(), "set {i}");
+            assert_eq!(f.set(id).group(), s.set(id).group(), "set {i}");
+            assert_eq!(fast.choice(id), scan.choice(id), "set {i}");
+        }
+        assert_eq!(fast.budgets(), scan.budgets());
+        assert_eq!(fast.uncoverable_users(), scan.uncoverable_users());
+    }
+
+    #[test]
+    fn build_matches_session_scan_on_generated_wlans() {
+        use crate::generated::{cross, paper_density, paper_instance};
+        assert_matches_scan(&figure1_instance(mbps(1)));
+        for seed in 1..=3 {
+            assert_matches_scan(&paper_density(seed, 60));
+            // Basic-rate multicast: one set per (AP, session).
+            assert_matches_scan(&paper_instance(seed, |cfg| {
+                cfg.n_aps = 40;
+                cfg.n_users = 120;
+                cfg.rate_policy = cross(&RatePolicy::BasicOnly);
+            }));
+            // Heterogeneous session rates.
+            assert_matches_scan(&paper_instance(seed, |cfg| {
+                cfg.n_aps = 40;
+                cfg.n_users = 120;
+                let kbps = [500, 1000, 1500, 3000, 4000].map(Kbps);
+                cfg.session_rates = Some(cross(&kbps.to_vec()));
+            }));
+            // A sparse area without the coverage guarantee: some users
+            // are out of every AP's range.
+            let sparse = paper_instance(seed, |cfg| {
+                cfg.n_aps = 10;
+                cfg.n_users = 100;
+                cfg.width_m = 3000.0;
+                cfg.height_m = 3000.0;
+                cfg.require_coverage = false;
+            });
+            assert!(!Reduction::build(&sparse).uncoverable_users().is_empty());
+            assert_matches_scan(&sparse);
+        }
     }
 
     /// The reduction of Figure 1 at 1 Mbps must be exactly the paper's

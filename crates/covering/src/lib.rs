@@ -51,6 +51,7 @@ mod scg;
 mod set_cover;
 mod system;
 mod verify;
+mod window;
 
 pub use cost::Cost;
 pub use mcg::{greedy_mcg, greedy_mcg_opts, McgSolution};

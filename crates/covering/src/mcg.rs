@@ -18,6 +18,7 @@ use crate::celf::GainEntry;
 use crate::cost::Cost;
 use crate::set_cover::Cover;
 use crate::system::{ElementId, SetId, SetSystem};
+use crate::window::BudgetWindow;
 
 /// Outcome of [`greedy_mcg`].
 ///
@@ -31,6 +32,9 @@ pub struct McgSolution<C> {
     all_newly_covered: Vec<Vec<ElementId>>,
     violating: Vec<bool>,
     feasible: Cover<C>,
+    /// The budgets whose comparisons this run reproduces (meaningful when
+    /// every group has the same budget); `None` when the run recorded none.
+    window: Option<BudgetWindow<C>>,
 }
 
 impl<C: Cost> McgSolution<C> {
@@ -64,17 +68,25 @@ impl<C: Cost> McgSolution<C> {
         self.all_newly_covered.iter().map(Vec::len).sum()
     }
 
+    /// With uniform budgets `B`: every `B'` in the window makes this run's
+    /// budget comparisons come out the same, so a run at `B'` is this run.
+    pub(crate) fn window(&self) -> Option<&BudgetWindow<C>> {
+        self.window.as_ref()
+    }
+
     pub(crate) fn new(
         all: Vec<SetId>,
         all_newly_covered: Vec<Vec<ElementId>>,
         violating: Vec<bool>,
         feasible: Cover<C>,
+        window: Option<BudgetWindow<C>>,
     ) -> McgSolution<C> {
         McgSolution {
             all,
             all_newly_covered,
             violating,
             feasible,
+            window,
         }
     }
 }
@@ -151,6 +163,9 @@ pub fn greedy_mcg_opts<C: Cost>(
     let mut all: Vec<SetId> = Vec::new();
     let mut all_news: Vec<Vec<ElementId>> = Vec::new();
     let mut violating: Vec<bool> = Vec::new();
+    // Every comparison against a budget goes through `window`, which
+    // records the budgets that would take the same branch.
+    let mut window = BudgetWindow::unbounded();
 
     // Lazy-greedy heap over every potentially usable set. Unaffordable
     // sets (under the skip rule) are excluded up front — budgets never
@@ -161,7 +176,8 @@ pub fn greedy_mcg_opts<C: Cost>(
         .iter()
         .enumerate()
         .filter(|&(i, set)| {
-            residual[i] > 0 && !(skip_unaffordable && *set.cost() > budgets[set.group().0 as usize])
+            residual[i] > 0
+                && !(skip_unaffordable && window.gt(set.cost(), &budgets[set.group().0 as usize]))
         })
         .map(|(i, set)| GainEntry {
             gain: residual[i],
@@ -188,7 +204,7 @@ pub fn greedy_mcg_opts<C: Cost>(
         while i < tied.len() {
             let g = tied[i].group_index();
             let fresh = residual[tied[i].set_index()];
-            if group_cost[g] >= budgets[g] || fresh == 0 {
+            if window.ge(&group_cost[g], &budgets[g]) || fresh == 0 {
                 tied.swap_remove(i); // never usable again
             } else if fresh < tied[i].gain {
                 let mut e = tied.swap_remove(i);
@@ -211,7 +227,8 @@ pub fn greedy_mcg_opts<C: Cost>(
                 let Some(mut top) = heap.peek_mut() else {
                     break None;
                 };
-                if group_cost[top.group_index()] >= budgets[top.group_index()] {
+                let g = top.group_index();
+                if window.ge(&group_cost[g], &budgets[g]) {
                     PeekMut::pop(top); // group exhausted for good (costs only grow)
                     continue;
                 }
@@ -241,7 +258,8 @@ pub fn greedy_mcg_opts<C: Cost>(
                 if top.cmp_effectiveness(&tied[0]) != std::cmp::Ordering::Equal {
                     break;
                 }
-                if group_cost[top.group_index()] >= budgets[top.group_index()] {
+                let g = top.group_index();
+                if window.ge(&group_cost[g], &budgets[g]) {
                     PeekMut::pop(top);
                     continue;
                 }
@@ -292,7 +310,7 @@ pub fn greedy_mcg_opts<C: Cost>(
             }
         }
         group_cost[g] = group_cost[g].add(set.cost());
-        violating.push(group_cost[g] > budgets[g]);
+        violating.push(window.gt(&group_cost[g], &budgets[g]));
         all.push(sid);
         all_news.push(news);
     }
@@ -302,12 +320,7 @@ pub fn greedy_mcg_opts<C: Cost>(
     // within budget), then keep the half covering more *new* elements.
     let feasible = better_half(system, n, initially_covered, &all, &violating);
 
-    McgSolution {
-        all,
-        all_newly_covered: all_news,
-        violating,
-        feasible,
-    }
+    McgSolution::new(all, all_news, violating, feasible, Some(window))
 }
 
 pub(crate) fn better_half<C: Cost>(

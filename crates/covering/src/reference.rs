@@ -210,7 +210,9 @@ pub fn greedy_mcg_opts<C: Cost>(
     // within budget), then keep the half covering more *new* elements.
     let feasible = better_half(system, n, initially_covered, &all, &violating);
 
-    McgSolution::new(all, all_news, violating, feasible)
+    // No budget window: the oracle makes no replay claim, so SCG over it
+    // runs every candidate.
+    McgSolution::new(all, all_news, violating, feasible, None)
 }
 
 /// SCG via the full-rescan MCG — the pre-CELF implementation of

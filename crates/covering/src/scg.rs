@@ -7,6 +7,13 @@
 //! (Theorem 4). Since `B*` is unknown, the caller supplies a list of
 //! candidate budgets ("try several values of B* between c_max and 1") and
 //! [`solve_scg`] returns the best feasible outcome over all candidates.
+//!
+//! Neighbouring candidates often make every budget comparison of the run
+//! come out the same, and then the runs are identical (see
+//! [`crate::window`]). [`solve_scg`] keeps the [`BudgetWindow`] of the last
+//! run under each rule and skips the candidates inside it: a replay cannot
+//! improve the best solution, which only a strictly smaller maximum group
+//! cost replaces.
 
 use std::fmt;
 
@@ -15,6 +22,7 @@ use crate::mcg::greedy_mcg_opts;
 use crate::set_cover::Cover;
 use crate::system::{ElementId, SetId, SetSystem};
 use crate::verify::group_costs;
+use crate::window::BudgetWindow;
 
 /// Result of [`solve_scg`].
 #[derive(Debug, Clone)]
@@ -85,7 +93,9 @@ impl std::error::Error for ScgError {}
 /// iteration makes no progress (this happens exactly when some uncovered
 /// element's every covering set costs more than `B*`). Among feasible
 /// candidates the solution with the smallest achieved `max_i c(H ∩ G_i)`
-/// wins (ties: the earlier candidate).
+/// wins (ties: the earlier candidate). A candidate whose run would replay
+/// the previous run under the same rule, comparison for comparison, is
+/// not run; the result is the same as running every candidate.
 ///
 /// The returned assignment maps every element to the set that first covered
 /// it, across all iterations of the winning candidate.
@@ -102,7 +112,8 @@ pub fn solve_scg<C: Cost>(
 
 /// [`solve_scg`] parameterized over the MCG subroutine, so the reference
 /// (full-rescan) and lazy-greedy MCG drive the identical outer loop —
-/// used by `crate::reference` and the equivalence property tests.
+/// used by `crate::reference` and the equivalence property tests. An MCG
+/// that reports no budget window (the reference) runs every candidate.
 pub(crate) fn solve_scg_with<C: Cost>(
     system: &SetSystem<C>,
     candidates: &[C],
@@ -132,16 +143,30 @@ pub(crate) fn solve_scg_with<C: Cost>(
     // The best achieved max-group-cost over both rules and all candidates
     // wins; neither rule dominates across instances.
     for skip_unaffordable in [true, false] {
+        // The budgets that replay the last run under this rule: across all
+        // its MCG iterations, every budget comparison comes out the same.
+        let mut replayed: Option<BudgetWindow<C>> = None;
         for b_star in candidates {
+            if replayed.as_ref().is_some_and(|w| w.contains(b_star)) {
+                continue; // same picks, same max group cost: cannot improve
+            }
             let budgets = vec![b_star.clone(); system.n_groups()];
             let mut covered = vec![false; n];
             let mut picks: Vec<(SetId, Vec<ElementId>, C)> = Vec::new();
             let mut iterations = 0usize;
+            let mut window = Some(BudgetWindow::unbounded());
             let feasible = loop {
                 if covered.iter().all(|&c| c) {
                     break true;
                 }
                 let sol = mcg(system, &budgets, &covered, skip_unaffordable);
+                window = match (window, sol.window()) {
+                    (Some(mut w), Some(run)) => {
+                        w.intersect(run);
+                        Some(w)
+                    }
+                    _ => None,
+                };
                 // Per Fig. 6 (and the paper's worked example), each
                 // iteration contributes the *output* of Centralized MNU —
                 // the feasible half — which respects every group budget
@@ -159,6 +184,7 @@ pub(crate) fn solve_scg_with<C: Cost>(
                     picks.push((*sid, news.clone(), system.set(*sid).cost().clone()));
                 }
             };
+            replayed = window;
             if !feasible {
                 continue;
             }
@@ -276,6 +302,57 @@ mod tests {
         assert!(sol.cover().covers_all());
         assert_eq!(sol.iterations(), 2);
         assert_eq!(*sol.max_group_cost(), 6); // both sets in the one group
+    }
+
+    /// Runs `solve_scg_with` over the lazy MCG and returns the budget of
+    /// every MCG call, in call order.
+    fn budgets_run(system: &SetSystem<u64>, candidates: &[u64]) -> Vec<u64> {
+        let calls = std::cell::RefCell::new(Vec::new());
+        solve_scg_with(system, candidates, |s, b, c, k| {
+            calls.borrow_mut().push(b[0]);
+            greedy_mcg_opts(s, b, c, k)
+        })
+        .unwrap();
+        calls.into_inner()
+    }
+
+    #[test]
+    fn candidates_inside_the_window_are_not_run() {
+        // One group, two singleton sets of cost 3.
+        // * B* = 3: the first pick exhausts the group (`3 >= 3`), so each
+        //   of two iterations takes one set: window [3, 3].
+        // * B* = 4: the second pick crosses the budget (`6 > 4`), so the
+        //   feasible half keeps one set and a second iteration takes the
+        //   other: window (3, 6).
+        // * B* = 5 replays B* = 4 and is skipped; B* = 6 flips `6 > B*`
+        //   and runs (one iteration): window [6, ∞), so B* = 7 is skipped.
+        let mut b = SetSystemBuilder::<u64>::new(2);
+        b.push_set([0], 3, 0).unwrap();
+        b.push_set([1], 3, 0).unwrap();
+        let system = b.build().unwrap();
+        let candidates = [3, 4, 5, 6, 7];
+        let per_rule = [3, 3, 4, 4, 6];
+        let expected: Vec<u64> = per_rule.iter().chain(&per_rule).copied().collect();
+        assert_eq!(budgets_run(&system, &candidates), expected);
+        // Skipping is exact: the oracle, which runs all ten, agrees.
+        let fast = solve_scg(&system, &candidates).unwrap();
+        let slow = crate::reference::solve_scg(&system, &candidates).unwrap();
+        assert_eq!(fast.cover(), slow.cover());
+        assert_eq!(fast.max_group_cost(), slow.max_group_cost());
+        assert_eq!(fast.budget_used(), slow.budget_used());
+        assert_eq!(fast.iterations(), slow.iterations());
+    }
+
+    #[test]
+    fn skip_rule_filter_bounds_the_window() {
+        // Under the skip rule the cost-5 set is filtered at B* = 4
+        // (`5 > 4`) but not at B* = 5, so 5 runs; under the other rule
+        // no comparison involves the cost 5, so 5 replays 4 there.
+        let mut b = SetSystemBuilder::<u64>::new(1);
+        b.push_set([0], 2, 0).unwrap();
+        b.push_set([0], 5, 1).unwrap();
+        let system = b.build().unwrap();
+        assert_eq!(budgets_run(&system, &[4, 5]), vec![4, 5, 4]);
     }
 
     #[test]

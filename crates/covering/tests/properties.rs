@@ -212,6 +212,47 @@ proptest! {
     }
 
     #[test]
+    fn scg_window_skip_matches_reference_on_dense_candidates(
+        system in coverable_system(),
+        picks in vec((0usize..10_000, 0u8..6, 0u64..3), 1..40),
+    ) {
+        // Dense, unsorted candidates with duplicates: set costs, sums of
+        // two or three set costs (the group costs a run compares against),
+        // values just above those, budgets at and just above zero (an
+        // empty group's cost), and the all-sets total — the budgets where
+        // comparisons flip, and the ones between.
+        let costs: Vec<u64> = system.sets().iter().map(|s| *s.cost()).collect();
+        let all: Vec<SetId> = (0..system.n_sets()).map(|i| SetId(i as u32)).collect();
+        let total = total_cost(&system, &all);
+        let m = costs.len();
+        let sum = |i: usize| {
+            costs[i % m] + costs[(i / m) % m] + costs[(i / m / m) % m] * (i as u64 % 2)
+        };
+        let candidates: Vec<u64> = picks
+            .iter()
+            .map(|&(i, kind, d)| match kind {
+                0 => costs[i % m],
+                1 => sum(i),
+                2 => costs[i % m] + d,
+                3 => sum(i) + d,
+                4 => d,
+                _ => total,
+            })
+            .collect();
+        let fast = solve_scg(&system, &candidates);
+        let slow = reference::solve_scg(&system, &candidates);
+        match (fast, slow) {
+            (Ok(fast), Ok(slow)) => {
+                prop_assert_eq!(fast.cover(), slow.cover());
+                prop_assert_eq!(fast.max_group_cost(), slow.max_group_cost());
+                prop_assert_eq!(fast.budget_used(), slow.budget_used());
+                prop_assert_eq!(fast.iterations(), slow.iterations());
+            }
+            (fast, slow) => prop_assert_eq!(fast.err(), slow.err()),
+        }
+    }
+
+    #[test]
     fn scg_no_worse_than_single_budget_run(system in coverable_system()) {
         // Adding more candidates can only improve (or keep) the objective.
         let all: Vec<SetId> = (0..system.n_sets()).map(|i| SetId(i as u32)).collect();
