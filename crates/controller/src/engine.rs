@@ -21,7 +21,7 @@ use crate::audit::{audit_epoch, CoverageRule};
 use crate::ladder::{LadderPolicy, SolvePath, WorkMeter};
 use crate::report::{assemble_report, ReportParts};
 use crate::runtime::{ControllerConfig, ControllerOutcome};
-use crate::state::NetworkState;
+use crate::state::{NetworkState, UserBits};
 
 /// What one epoch of ladder execution produced, beyond its
 /// [`EpochRecord`](crate::EpochRecord): the association diff (for the
@@ -38,6 +38,12 @@ pub(crate) struct EpochOutcome {
 }
 
 /// The mutable heart of a controller run.
+///
+/// An epoch costs what its events cost plus one full audit: every
+/// association change the engine makes records its user once per epoch
+/// (`touched`), so the epoch's diff walks only those users, and the
+/// admission sweep draws its targets from a maintained list of the
+/// present, unassociated users instead of filtering the population.
 pub(crate) struct EpochEngine<'a> {
     inst: &'a Instance,
     cfg: ControllerConfig,
@@ -54,8 +60,32 @@ pub(crate) struct EpochEngine<'a> {
     rule: CoverageRule,
     records: Vec<crate::report::EpochRecord>,
     violations_sample: Vec<String>,
-    pre_assoc: Vec<Option<ApId>>,
+    /// Users whose AP changed since the last epoch closed.
+    touched_bits: UserBits,
+    /// The same users in the order first touched, while they fit the
+    /// list's fixed capacity (a bitmap word's worth of the population):
+    /// sorting a few ids beats walking the bitmap, sorting many does
+    /// not. Past capacity the list stops and `touched_many` is set.
+    touched: Vec<UserId>,
+    touched_many: bool,
+    /// Each touched user's AP when the epoch began (stale for the rest).
+    /// The same size as the association snapshot it replaced, and
+    /// likewise allocated once.
+    epoch_start: Vec<Option<ApId>>,
+    /// The admission list: every present, unassociated user once, plus
+    /// users who departed since the last sweep. `listed` holds the same
+    /// set. It grows with use rather than by a population-sized buffer
+    /// up front: on `metro_cold` such a buffer stayed resident after the
+    /// run and lifted the peak RSS.
+    unplaced: Vec<UserId>,
+    listed: UserBits,
+    /// Users with an AP, kept up to date as epochs close.
+    satisfied: usize,
     check_oracle: bool,
+    /// The last sweep's targets and the full-population filter's, for
+    /// the oracle tests.
+    #[cfg(test)]
+    last_targets: Option<(Vec<UserId>, Vec<UserId>)>,
 }
 
 impl<'a> EpochEngine<'a> {
@@ -70,7 +100,7 @@ impl<'a> EpochEngine<'a> {
         state: NetworkState,
     ) -> EpochEngine<'a> {
         let n_users = inst.n_users();
-        EpochEngine {
+        let mut engine = EpochEngine {
             inst,
             cfg: *cfg,
             keep,
@@ -82,9 +112,19 @@ impl<'a> EpochEngine<'a> {
             rule: CoverageRule::Exact,
             records: Vec::with_capacity(cfg.n_epochs as usize),
             violations_sample: Vec::new(),
-            pre_assoc: Vec::with_capacity(n_users),
+            touched_bits: UserBits::new(n_users),
+            touched: Vec::with_capacity(n_users / 64 + 1),
+            touched_many: false,
+            epoch_start: vec![None; n_users],
+            unplaced: Vec::new(),
+            listed: UserBits::new(n_users),
+            satisfied: 0,
             check_oracle: cfg.audit_oracle || cfg!(debug_assertions),
-        }
+            #[cfg(test)]
+            last_targets: None,
+        };
+        engine.relist_unplaced();
+        engine
     }
 
     // ---- event ingestion primitives ---------------------------------
@@ -99,19 +139,25 @@ impl<'a> EpochEngine<'a> {
     /// The AP crashes; its users are evicted exactly once.
     pub fn ap_down(&mut self, a: ApId) {
         if self.state.set_down(a) {
-            self.ledger.evict_ap(a);
+            for u in self.ledger.evict_ap(a) {
+                self.touch(u, Some(a));
+                self.list_unplaced(u);
+            }
         }
     }
 
     /// The user joins; the next ladder sweep will try to place them.
     pub fn user_join(&mut self, u: UserId) {
-        self.state.join(u);
+        if self.state.join(u) {
+            self.list_unplaced(u);
+        }
     }
 
     /// The user leaves; their load (and shed status) goes with them.
     pub fn user_leave(&mut self, u: UserId) {
         if self.state.depart(u) {
-            if self.ledger.ap_of(u).is_some() {
+            if let Some(a) = self.ledger.ap_of(u) {
+                self.touch(u, Some(a));
                 self.ledger.leave(u);
             }
             self.shed[u.index()] = false;
@@ -125,25 +171,53 @@ impl<'a> EpochEngine<'a> {
             self.state.roll_jump(self.inst, u, seed, self.keep);
             if let Some(cur) = self.ledger.ap_of(u) {
                 if !self.state.link_ok(u, cur) {
+                    self.touch(u, Some(cur));
                     self.ledger.leave(u);
+                    self.list_unplaced(u);
                 }
             }
         }
     }
 
-    /// Snapshots the association before an epoch's events apply, so the
-    /// epoch's diff (handoffs, `Assoc` events) has a baseline.
-    pub fn begin_epoch(&mut self) {
-        self.pre_assoc.clear();
-        self.pre_assoc.extend(self.ledger.association().iter());
+    /// Records that `u`'s AP changes this epoch, away from `before`.
+    /// Only the first call per epoch counts: later ones find the user
+    /// already recorded with its AP at epoch start.
+    fn touch(&mut self, u: UserId, before: Option<ApId>) {
+        if self.touched_bits.insert(u.index()) {
+            self.epoch_start[u.index()] = before;
+            if self.touched.len() < self.touched.capacity() {
+                self.touched.push(u);
+            } else {
+                self.touched_many = true;
+            }
+        }
+    }
+
+    /// Puts the (present, unassociated) user `u` on the admission list.
+    fn list_unplaced(&mut self, u: UserId) {
+        if self.listed.insert(u.index()) {
+            self.unplaced.push(u);
+        }
+    }
+
+    /// Rebuilds the admission list from the whole population: at
+    /// construction and after a full solve replaced every association.
+    fn relist_unplaced(&mut self) {
+        self.unplaced.clear();
+        self.listed.clear();
+        for u in self.inst.users() {
+            if self.state.is_present(u) && self.ledger.ap_of(u).is_none() {
+                self.list_unplaced(u);
+            }
+        }
     }
 
     /// Runs the ladder for one epoch (after its events were ingested),
     /// records metrics, and audits. `events`/`joins` are the counts the
-    /// caller ingested since [`EpochEngine::begin_epoch`]. When
-    /// `latencies` is given, the admission sweep appends one wall-clock
-    /// decision time (µs) per examined user — instrumentation only,
-    /// never part of the deterministic report.
+    /// caller ingested since the previous epoch. When `latencies` is
+    /// given, the admission sweep appends one wall-clock decision time
+    /// (µs) per examined user — instrumentation only, never part of the
+    /// deterministic report.
     pub fn run_epoch(
         &mut self,
         epoch: u64,
@@ -152,7 +226,7 @@ impl<'a> EpochEngine<'a> {
         mut latencies: Option<&mut Vec<f64>>,
     ) -> EpochOutcome {
         let inst = self.inst;
-        let cfg = &self.cfg;
+        let cfg = self.cfg;
 
         // ---- choose and execute a ladder rung -----------------------
         let mut meter = WorkMeter::new(cfg.work_budget);
@@ -160,8 +234,8 @@ impl<'a> EpochEngine<'a> {
         let mut degraded = false;
         let (mut rehomed, mut newly_shed, mut readmitted, mut deferred_now) =
             (0u64, 0u64, 0u64, 0u64);
-        for d in self.deferred.iter_mut() {
-            *d = false;
+        if self.records.last().is_some_and(|r| r.deferred > 0) {
+            self.deferred.fill(false);
         }
 
         if epoch == 0 || events + joins > 0 || self.pending_work {
@@ -176,13 +250,16 @@ impl<'a> EpochEngine<'a> {
                 let solved = meter.try_charge(full_cost(inst, &self.state))
                     && match full_resolve(inst, &self.state, cfg.objective) {
                         Ok(assoc) => {
-                            self.ledger = LoadLedger::new(inst, assoc);
+                            let before =
+                                std::mem::replace(&mut self.ledger, LoadLedger::new(inst, assoc));
                             for u in inst.users() {
+                                self.touch(u, before.ap_of(u));
                                 if self.shed[u.index()] && self.ledger.ap_of(u).is_some() {
                                     self.shed[u.index()] = false;
                                     readmitted += 1;
                                 }
                             }
+                            self.relist_unplaced();
                             true
                         }
                         Err(_) => false,
@@ -195,26 +272,47 @@ impl<'a> EpochEngine<'a> {
 
             // The admission sweep: the Repair rung proper, the leftover
             // pass after a Full solve, and (starting directly on the SSA
-            // rung) the SsaOnly placement sweep. Most-constrained users
+            // rung) the SsaOnly placement sweep. Its targets are the
+            // unplaced users with an allowed candidate, most-constrained
             // first, ties in id order — the same order as MNU's augment
             // pass, so an unfaulted Full epoch matches the one-shot
             // solver exactly.
             let mut on_ssa_rung = path == SolvePath::Ssa;
             let enforce_budget = cfg.objective == Objective::Mnu;
-            let mut targets: Vec<UserId> = inst
-                .users()
-                .filter(|&u| {
-                    self.state.is_present(u)
-                        && self.ledger.ap_of(u).is_none()
-                        && inst
-                            .candidate_aps(u)
-                            .iter()
-                            .any(|&(a, _)| self.state.allowed(u, a))
-                })
-                .collect();
-            targets.sort_by_key(|&u| inst.candidate_aps(u).len());
+            let mut list = std::mem::take(&mut self.unplaced);
+            list.sort_unstable();
+            // One pass drops departed users and moves the targets to the
+            // front, keeping their id order; the other members follow.
+            let (mut n_targets, mut kept) = (0, 0);
+            for i in 0..list.len() {
+                let u = list[i];
+                debug_assert!(self.ledger.ap_of(u).is_none(), "listed user {u} has an AP");
+                if !self.state.is_present(u) {
+                    self.listed.remove(u.index());
+                    continue;
+                }
+                list[kept] = u;
+                if inst
+                    .candidate_aps(u)
+                    .iter()
+                    .any(|&(a, _)| self.state.allowed(u, a))
+                {
+                    list.swap(n_targets, kept);
+                    n_targets += 1;
+                }
+                kept += 1;
+            }
+            list.truncate(kept);
+            list[..n_targets].sort_by_key(|&u| inst.candidate_aps(u).len());
+            #[cfg(test)]
+            {
+                self.last_targets = Some((
+                    list[..n_targets].to_vec(),
+                    oracle_targets(inst, &self.state, &self.ledger),
+                ));
+            }
 
-            for u in targets {
+            for &u in &list[..n_targets] {
                 let decision_started = latencies.as_ref().map(|_| Instant::now());
                 let was_shed = self.shed[u.index()];
                 let placed;
@@ -248,6 +346,7 @@ impl<'a> EpochEngine<'a> {
                 }
                 match placed {
                     Some(_) => {
+                        self.touch(u, None);
                         rehomed += 1;
                         if was_shed {
                             self.shed[u.index()] = false;
@@ -266,6 +365,16 @@ impl<'a> EpochEngine<'a> {
                 }
             }
 
+            // Hand the unplaced back to the list.
+            list.retain(|&u| {
+                let unplaced = self.ledger.ap_of(u).is_none();
+                if !unplaced {
+                    self.listed.remove(u.index());
+                }
+                unplaced
+            });
+            self.unplaced = list;
+
             self.rule = if on_ssa_rung {
                 CoverageRule::StrongestOnly
             } else {
@@ -275,18 +384,7 @@ impl<'a> EpochEngine<'a> {
         }
 
         // ---- disruption metrics -------------------------------------
-        let mut handoffs = 0u64;
-        let mut changes: Vec<(UserId, Option<ApId>)> = Vec::new();
-        for u in inst.users() {
-            let before = self.pre_assoc[u.index()];
-            let after = self.ledger.ap_of(u);
-            if before != after {
-                changes.push((u, after));
-                if before.is_some() && after.is_some() {
-                    handoffs += 1;
-                }
-            }
-        }
+        let (changes, handoffs) = self.close_diff();
 
         // ---- audit --------------------------------------------------
         let violations = audit_epoch(
@@ -298,6 +396,17 @@ impl<'a> EpochEngine<'a> {
             self.check_oracle,
         );
         debug_assert!(violations.is_empty(), "epoch {epoch}: {violations:?}");
+        if self.check_oracle {
+            debug_assert_eq!(
+                self.satisfied,
+                self.ledger.association().satisfied_count(),
+                "epoch {epoch}: satisfied count drifted"
+            );
+            debug_assert!(
+                self.unplaced_is_exact(),
+                "epoch {epoch}: the admission list is not the unplaced set"
+            );
+        }
         for v in &violations {
             if self.violations_sample.len() < 8 {
                 self.violations_sample.push(format!("epoch {epoch}: {v}"));
@@ -317,7 +426,7 @@ impl<'a> EpochEngine<'a> {
             shed: newly_shed,
             readmitted,
             deferred: deferred_now,
-            satisfied: self.ledger.association().satisfied_count(),
+            satisfied: self.satisfied,
             changed: !changes.is_empty(),
             violations: violations.len() as u64,
         });
@@ -327,6 +436,53 @@ impl<'a> EpochEngine<'a> {
             changes,
             violations,
         }
+    }
+
+    /// The epoch's association diff over the touched users, in user-id
+    /// order, and its handoff count; updates `satisfied` and resets the
+    /// touched set for the next epoch.
+    fn close_diff(&mut self) -> (Vec<(UserId, Option<ApId>)>, u64) {
+        let (epoch_start, ledger) = (&self.epoch_start, &self.ledger);
+        let mut changes: Vec<(UserId, Option<ApId>)> = Vec::new();
+        let mut handoffs = 0u64;
+        let mut satisfied = self.satisfied;
+        let mut diff = |u: UserId| {
+            let (before, after) = (epoch_start[u.index()], ledger.ap_of(u));
+            if before != after {
+                changes.push((u, after));
+                match (before, after) {
+                    (Some(_), Some(_)) => handoffs += 1,
+                    (None, Some(_)) => satisfied += 1,
+                    (Some(_), None) => satisfied -= 1,
+                    (None, None) => {}
+                }
+            }
+        };
+        if self.touched_many {
+            self.touched_bits.for_each(|i| diff(UserId(i as u32)));
+            self.touched_bits.clear();
+        } else {
+            self.touched.sort_unstable();
+            self.touched.iter().for_each(|&u| diff(u));
+            for &u in &self.touched {
+                self.touched_bits.remove(u.index());
+            }
+        }
+        self.touched.clear();
+        self.touched_many = false;
+        self.satisfied = satisfied;
+        (changes, handoffs)
+    }
+
+    /// True if the admission list holds exactly the present, unassociated
+    /// users, each once, and `listed` agrees with it.
+    fn unplaced_is_exact(&self) -> bool {
+        let mut seen = UserBits::new(self.inst.n_users());
+        self.unplaced.iter().all(|u| seen.insert(u.index()))
+            && seen == self.listed
+            && self.inst.users().all(|u| {
+                seen.get(u.index()) == (self.state.is_present(u) && self.ledger.ap_of(u).is_none())
+            })
     }
 
     /// The record of the most recently run epoch.
@@ -443,4 +599,161 @@ fn effective_instance(inst: &Instance, state: &NetworkState) -> Option<(Instance
         .build()
         .expect("a sub-instance of a valid instance is valid");
     Some((sub, sub_to_orig))
+}
+
+/// The association diff as a full snapshot comparison: every user whose
+/// AP in `ledger` differs from `before`, in user-id order.
+#[cfg(test)]
+fn snapshot_diff(before: &Association, ledger: &LoadLedger<'_>) -> Vec<(UserId, Option<ApId>)> {
+    ledger
+        .instance()
+        .users()
+        .filter_map(|u| {
+            let after = ledger.ap_of(u);
+            (before.ap_of(u) != after).then_some((u, after))
+        })
+        .collect()
+}
+
+/// The admission sweep's targets filtered from the whole population:
+/// present, unassociated users with an allowed candidate, in id order,
+/// then stably by candidate count.
+#[cfg(test)]
+fn oracle_targets(inst: &Instance, state: &NetworkState, ledger: &LoadLedger<'_>) -> Vec<UserId> {
+    let mut targets: Vec<UserId> = inst
+        .users()
+        .filter(|&u| {
+            state.is_present(u)
+                && ledger.ap_of(u).is_none()
+                && inst
+                    .candidate_aps(u)
+                    .iter()
+                    .any(|&(a, _)| state.allowed(u, a))
+        })
+        .collect();
+    targets.sort_by_key(|&u| inst.candidate_aps(u).len());
+    targets
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mcast_core::{Kbps, Load};
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+
+    /// A random small network: a few sessions and APs, users with zero
+    /// to three candidate APs at random rates, and budgets tight enough
+    /// that MNU sheds some users. Over 64 users, so an epoch that touches
+    /// only a few sorts their ids instead of walking the bitmap.
+    fn small_instance(seed: u64) -> Instance {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut b = InstanceBuilder::new();
+        let sessions: Vec<_> = (0..4)
+            .map(|_| b.add_session(Kbps(rng.gen_range(1_000..4_000))))
+            .collect();
+        let aps: Vec<_> = (0..12)
+            .map(|_| b.add_ap(Load::from_ratio(rng.gen_range(2..8), 10)))
+            .collect();
+        let rates = [6_000, 12_000, 24_000, 54_000];
+        for _ in 0..200 {
+            let user = b.add_user(sessions[rng.gen_range(0..sessions.len())]);
+            for _ in 0..rng.gen_range(0..4) {
+                let ap = aps[rng.gen_range(0..aps.len())];
+                b.link(ap, user, Kbps(rates[rng.gen_range(0..rates.len())]))
+                    .unwrap();
+            }
+        }
+        b.build().unwrap()
+    }
+
+    /// One input event: `(kind, index, seed)`, kinds 0–1 join, 2 leave,
+    /// 3 AP down, 4 AP up, 5–6 reroll.
+    type Op = (u8, u32, u64);
+
+    /// Drives one engine through `epochs` and checks every epoch's diff
+    /// and sweep order against the full-population oracles.
+    fn drive(
+        inst: &Instance,
+        cfg: &ControllerConfig,
+        keep: f64,
+        start_present: bool,
+        epochs: &[Vec<Op>],
+    ) -> Result<(), TestCaseError> {
+        let (n_aps, n_users) = (inst.n_aps(), inst.n_users());
+        let state = if start_present {
+            NetworkState::new(n_aps, n_users)
+        } else {
+            NetworkState::absent(n_aps, n_users)
+        };
+        let mut engine = EpochEngine::new(inst, cfg, keep, state);
+        for (epoch, ops) in epochs.iter().enumerate() {
+            let before = engine.ledger.association().clone();
+            let (mut events, mut joins) = (0u64, 0u64);
+            for &(kind, index, seed) in ops {
+                let (u, a) = (UserId(index % n_users as u32), ApId(index % n_aps as u32));
+                match kind {
+                    0 | 1 => {
+                        engine.user_join(u);
+                        joins += 1;
+                        continue;
+                    }
+                    2 => engine.user_leave(u),
+                    3 => engine.ap_down(a),
+                    4 => engine.ap_up(a),
+                    _ => engine.link_reroll(u, seed),
+                }
+                events += 1;
+            }
+            let out = engine.run_epoch(epoch as u64, events, joins, None);
+            prop_assert_eq!(
+                &out.changes,
+                &snapshot_diff(&before, &engine.ledger),
+                "epoch {} diff",
+                epoch
+            );
+            if let Some((got, want)) = engine.last_targets.take() {
+                prop_assert_eq!(got, want, "epoch {} targets", epoch);
+            }
+            prop_assert!(engine.unplaced_is_exact(), "epoch {}", epoch);
+            prop_assert_eq!(
+                engine.satisfied,
+                engine.ledger.association().satisfied_count()
+            );
+            prop_assert!(out.violations.is_empty(), "{:?}", out.violations);
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        #[test]
+        fn incremental_bookkeeping_matches_the_full_sweeps(
+            seed in 0u64..1_000_000,
+            keep_idx in 0usize..3,
+            bla in proptest::bool::ANY,
+            start_present in proptest::bool::ANY,
+            epochs in proptest::collection::vec(
+                proptest::collection::vec((0u8..7, 0u32..1_000, 0u64..1_000_000), 0..10),
+                1..14,
+            ),
+        ) {
+            let inst = small_instance(seed);
+            let keep = [0.0, 0.6, 1.0][keep_idx];
+            let objective = if bla { Objective::Bla } else { Objective::Mnu };
+            for policy in [LadderPolicy::Repair, LadderPolicy::Full, LadderPolicy::SsaOnly] {
+                for work_budget in [0, 12] {
+                    let cfg = ControllerConfig {
+                        objective,
+                        policy,
+                        n_epochs: epochs.len() as u64,
+                        work_budget,
+                        audit_oracle: true,
+                        ..ControllerConfig::default()
+                    };
+                    drive(&inst, &cfg, keep, start_present, &epochs)?;
+                }
+            }
+        }
+    }
 }

@@ -137,6 +137,8 @@ pub(crate) struct FoldState {
     policy: String,
     epoch_us: u64,
     committed: Vec<Option<ApId>>,
+    /// Users with an AP in `committed`, kept while diffs apply.
+    satisfied: usize,
     records: Vec<EpochRecord>,
     violations_sample: Vec<String>,
     // `rule` persists across idle epochs in the live record stream, so
@@ -181,6 +183,7 @@ impl FoldState {
             policy,
             epoch_us,
             committed: vec![None; inst.n_users()],
+            satisfied: 0,
             records: Vec::new(),
             violations_sample: Vec::new(),
             carry_rule: "exact".to_string(),
@@ -222,6 +225,7 @@ impl FoldState {
             policy: cp.policy.clone(),
             epoch_us: cp.epoch_us,
             committed: cp.committed.clone(),
+            satisfied: cp.committed.iter().filter(|a| a.is_some()).count(),
             records: cp.records.clone(),
             violations_sample: cp.violations_sample.clone(),
             carry_rule: cp.carry_rule.clone(),
@@ -333,8 +337,11 @@ impl FoldState {
                     let before = self.committed[u.index()];
                     if before != ap {
                         changed = true;
-                        if before.is_some() && ap.is_some() {
-                            handoffs += 1;
+                        match (before, ap) {
+                            (Some(_), Some(_)) => handoffs += 1,
+                            (None, Some(_)) => self.satisfied += 1,
+                            (Some(_), None) => self.satisfied -= 1,
+                            (None, None) => {}
                         }
                     }
                     self.committed[u.index()] = ap;
@@ -384,7 +391,7 @@ impl FoldState {
                     shed,
                     readmitted,
                     deferred,
-                    satisfied: self.committed.iter().filter(|a| a.is_some()).count(),
+                    satisfied: self.satisfied,
                     changed,
                     violations: *violations,
                 });

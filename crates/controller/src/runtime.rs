@@ -89,7 +89,6 @@ pub fn run(
         // Events scheduled inside this epoch's window apply at its start;
         // the rung that follows is the controller's response to them.
         let window_end = (epoch + 1) * cfg.epoch_us - 1;
-        engine.begin_epoch();
 
         let mut events = 0u64;
         while let Some(ev) = timeline.pop_due(window_end) {

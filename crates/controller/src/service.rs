@@ -256,7 +256,6 @@ pub fn serve_checkpointed(
 
     for epoch in 0..cfg.n_epochs {
         let window_end = (epoch + 1) * cfg.epoch_us - 1;
-        engine.begin_epoch();
 
         // ---- ingest the batch: everything due in this window --------
         // Under sink backpressure the batch is capped: a degraded sink

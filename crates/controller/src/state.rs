@@ -14,7 +14,10 @@ use mcast_core::{ApId, Instance, UserId};
 /// sparsely (only *masked* links, normally a tiny fraction): a dense
 /// `users × APs` bool matrix is 40 GB at the scale-suite size
 /// (2 000 000 × 20 000), while the sparse set is O(currently-masked)
-/// and empty on a fault-free run.
+/// and empty on a fault-free run. A per-user bit says whether the user
+/// has any masked link at all, so [`NetworkState::link_ok`] — which the
+/// auditor calls for every served user after every epoch — answers
+/// without hashing for everyone a jump left fully in range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetworkState {
     down: Vec<bool>,
@@ -24,6 +27,9 @@ pub struct NetworkState {
     /// by definition, so absence means ok — non-candidate pairs are
     /// never inserted.
     masked: HashSet<(u32, u32)>,
+    /// Users with at least one entry in `masked`. Exact: a jump re-rolls
+    /// all of the user's candidate links, so it alone decides the bit.
+    has_masked: UserBits,
     downs: usize,
     gones: usize,
 }
@@ -35,6 +41,7 @@ impl NetworkState {
             down: vec![false; n_aps],
             gone: vec![false; n_users],
             masked: HashSet::new(),
+            has_masked: UserBits::new(n_users),
             downs: 0,
             gones: 0,
         }
@@ -51,6 +58,7 @@ impl NetworkState {
             down: vec![false; n_aps],
             gone: vec![true; n_users],
             masked: HashSet::new(),
+            has_masked: UserBits::new(n_users),
             downs: 0,
             gones: n_users,
         }
@@ -117,7 +125,10 @@ impl NetworkState {
 
     /// True if the candidate link `u — a` currently exists.
     pub fn link_ok(&self, u: UserId, a: ApId) -> bool {
-        !self.masked.contains(&(u.index() as u32, a.index() as u32))
+        // An empty mask (every fault-free run) does not read the bits.
+        self.masked.is_empty()
+            || !self.has_masked.get(u.index())
+            || !self.masked.contains(&(u.index() as u32, a.index() as u32))
     }
 
     /// True if `a` is a usable target for `u` right now: up and in range.
@@ -134,12 +145,68 @@ impl NetworkState {
     pub fn roll_jump(&mut self, inst: &Instance, u: UserId, seed: u64, keep: f64) {
         use rand::{Rng, SeedableRng};
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut any_masked = false;
         for &(a, _) in inst.candidate_aps(u) {
             let key = (u.index() as u32, a.index() as u32);
             if rng.gen::<f64>() < keep {
                 self.masked.remove(&key);
             } else {
                 self.masked.insert(key);
+                any_masked = true;
+            }
+        }
+        if any_masked {
+            self.has_masked.insert(u.index());
+        } else {
+            self.has_masked.remove(u.index());
+        }
+    }
+}
+
+/// A fixed-size set of user indices, one bit each.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct UserBits {
+    words: Vec<u64>,
+}
+
+impl UserBits {
+    /// An empty set over `0..n`.
+    pub(crate) fn new(n: usize) -> UserBits {
+        UserBits {
+            words: vec![0; n.div_ceil(64)],
+        }
+    }
+
+    /// True if `i` is in the set.
+    pub(crate) fn get(&self, i: usize) -> bool {
+        self.words[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    /// Adds `i`; returns `true` if it was not already in the set.
+    pub(crate) fn insert(&mut self, i: usize) -> bool {
+        let (w, bit) = (&mut self.words[i / 64], 1u64 << (i % 64));
+        let fresh = *w & bit == 0;
+        *w |= bit;
+        fresh
+    }
+
+    /// Removes `i`.
+    pub(crate) fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1u64 << (i % 64));
+    }
+
+    /// Empties the set.
+    pub(crate) fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// Calls `f` on every member, ascending.
+    pub(crate) fn for_each(&self, mut f: impl FnMut(usize)) {
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                f(w * 64 + rest.trailing_zeros() as usize);
+                rest &= rest - 1;
             }
         }
     }
@@ -205,6 +272,57 @@ mod tests {
         assert!(!s1.link_ok(u(5), a(1)));
         assert!(!s1.link_ok(u(5), a(2)));
         assert!(!s1.pristine());
+    }
+
+    #[test]
+    fn mask_bit_follows_the_last_roll() {
+        let inst = figure1_instance(Kbps::from_mbps(1));
+        let mut s = NetworkState::new(inst.n_aps(), inst.n_users());
+        let masked = |s: &NetworkState, ap: ApId| {
+            s.masked.contains(&(u(5).index() as u32, ap.index() as u32))
+        };
+        // `link_ok` agrees with the sparse set on every candidate link.
+        let agrees = |s: &NetworkState| {
+            inst.users().all(|user| {
+                inst.candidate_aps(user).iter().all(|&(ap, _)| {
+                    let key = (user.index() as u32, ap.index() as u32);
+                    s.link_ok(user, ap) != s.masked.contains(&key)
+                })
+            })
+        };
+        s.roll_jump(&inst, u(5), 7, 0.0);
+        assert!(s.has_masked.get(u(5).index()), "keep = 0 masks every link");
+        assert!(agrees(&s));
+        s.roll_jump(&inst, u(5), 7, 1.0);
+        assert!(!s.has_masked.get(u(5).index()), "keep = 1 clears the bit");
+        assert!(agrees(&s));
+        for seed in 0..32 {
+            s.roll_jump(&inst, u(5), seed, 0.5);
+            let any = inst
+                .candidate_aps(u(5))
+                .iter()
+                .any(|&(ap, _)| masked(&s, ap));
+            assert_eq!(s.has_masked.get(u(5).index()), any, "seed {seed}");
+            assert!(agrees(&s), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn user_bits_iterate_ascending() {
+        let mut b = UserBits::new(130);
+        for i in [129, 0, 64, 63, 7] {
+            assert!(b.insert(i));
+        }
+        assert!(!b.insert(7), "second insert is not fresh");
+        b.remove(63);
+        let members = |b: &UserBits| {
+            let mut all = Vec::new();
+            b.for_each(|i| all.push(i));
+            all
+        };
+        assert_eq!(members(&b), vec![0, 7, 64, 129]);
+        b.clear();
+        assert_eq!(members(&b), Vec::<usize>::new());
     }
 
     #[test]

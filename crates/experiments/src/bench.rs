@@ -21,7 +21,13 @@
 //! * `BENCH_controller.json` — sustained admission throughput of the
 //!   event-driven controller service on a staggered-join workload
 //!   (joins/sec, p50/p95/p99 per-decision latency), with the run's
-//!   event stream folded back through replay as the equivalence check.
+//!   event stream folded back through replay as the equivalence check,
+//!   plus the median epoch time of the same service under churn (an AP
+//!   outage block, jumps and departures).
+//!
+//! `--suite greedy|topology|distributed|controller` runs and rewrites
+//! one of these reports alone; `--suite scale` writes
+//! `BENCH_scale.json`.
 //!
 //! Every comparison also asserts the two implementations produce
 //! identical outputs — a bench run doubles as an equivalence check on
@@ -592,9 +598,64 @@ pub struct ControllerBenchReport {
     /// Whether folding the event stream back reproduced the live report
     /// byte for byte (and the same final association).
     pub replay_identical: bool,
+    /// The same service serving churn instead of a join storm.
+    pub churned: ChurnedServeBench,
+    /// Hardware threads available on the bench host.
+    pub host_threads: usize,
     /// Process peak resident set size (bytes) after the run; `None`
     /// where the platform does not expose it (non-Linux).
     pub peak_rss_bytes: Option<u64>,
+}
+
+/// The churned-serve section of `BENCH_controller.json`: the service's
+/// epoch time when every epoch carries faults rather than joins.
+#[derive(Debug, Serialize)]
+pub struct ChurnedServeBench {
+    /// Human description of the pinned workload.
+    pub workload: String,
+    /// Epochs executed.
+    pub epochs: u64,
+    /// Fault events ingested (AP down/up, departures, jumps).
+    pub fault_events: u64,
+    /// Median wall-clock time of one epoch, sync to sync, ms.
+    pub epoch_p50_ms: f64,
+    /// Whether folding the event stream back reproduced the live report
+    /// byte for byte (and the same final association).
+    pub replay_identical: bool,
+}
+
+/// Collects the stream in memory and stamps the wall clock at every
+/// durability sync — the service syncs once per closed epoch.
+struct EpochClock {
+    events: mcast_events::MemoryPublisher,
+    syncs: Vec<Instant>,
+}
+
+impl mcast_events::EventPublisher for EpochClock {
+    fn publish(
+        &mut self,
+        event: &mcast_events::Event,
+    ) -> Result<(), mcast_events::journal::JournalError> {
+        self.events.publish(event)
+    }
+
+    fn sync(&mut self) -> Result<(), mcast_events::journal::JournalError> {
+        self.syncs.push(Instant::now());
+        Ok(())
+    }
+}
+
+/// True if folding `events` back reproduces `live` exactly.
+fn replays_identically(
+    inst: &mcast_core::Instance,
+    live: &mcast_controller::ControllerOutcome,
+    events: &[mcast_events::Event],
+) -> Result<bool, String> {
+    let replayed = mcast_controller::fold_events(inst, events)?;
+    Ok(
+        serde_json::to_string(&live.report).ok() == serde_json::to_string(&replayed.report).ok()
+            && live.association == replayed.association,
+    )
 }
 
 /// The controller-service report: sustained admission throughput on the
@@ -608,7 +669,7 @@ pub struct ControllerBenchReport {
 /// A service or replay failure (both correctness bugs on this
 /// fault-free workload).
 pub fn controller_report(opts: &Options) -> Result<ControllerBenchReport, String> {
-    use mcast_controller::{fold_events, serve, ControllerConfig, LadderPolicy};
+    use mcast_controller::{serve, ControllerConfig, LadderPolicy};
     use mcast_core::Objective;
     use mcast_events::{EventKind, MemoryPublisher, TimeQueue};
 
@@ -653,14 +714,14 @@ pub fn controller_report(opts: &Options) -> Result<ControllerBenchReport, String
 
     let mut publisher = MemoryPublisher::default();
     let (live, stats) = serve(inst, &mut queue, &cfg, 1.0, &mut publisher)?;
-    let replayed = fold_events(inst, &publisher.events)?;
-    let replay_identical = serde_json::to_string(&live.report).ok()
-        == serde_json::to_string(&replayed.report).ok()
-        && live.association == replayed.association;
+    let replay_identical = replays_identically(inst, &live, &publisher.events)?;
+    // Free this run before the churned one: the peak RSS is then either
+    // run's, not their sum.
+    drop((live, publisher));
 
     let lat = stats.decision_latency_us;
     Ok(ControllerBenchReport {
-        schema: "mcast-bench-controller/v2".to_string(),
+        schema: "mcast-bench-controller/v3".to_string(),
         quick: opts.quick,
         workload: format!(
             "event-driven service, staggered joins, {n_aps} APs / {n_users} users, \
@@ -678,7 +739,71 @@ pub fn controller_report(opts: &Options) -> Result<ControllerBenchReport, String
             max_us: lat.max,
         },
         replay_identical,
+        churned: churned_serve_bench(inst, &cfg, opts.quick)?,
+        host_threads: host_threads(),
         peak_rss_bytes: peak_rss_bytes(),
+    })
+}
+
+/// The churned-serve section: the same deployment with everyone joined
+/// at `t = 0`, the first twentieth of the APs down from a quarter to
+/// half of the horizon, and users jumping (0.2), departing (0.1) and
+/// keeping each link on a jump with probability 0.6.
+fn churned_serve_bench(
+    inst: &mcast_core::Instance,
+    cfg: &mcast_controller::ControllerConfig,
+    quick: bool,
+) -> Result<ChurnedServeBench, String> {
+    use mcast_controller::{lower_plan, serve, ControllerConfig};
+    use mcast_core::ApId;
+    use mcast_faults::{ApOutage, ChurnModel, FaultPlan};
+
+    let n_epochs = if quick { 20 } else { 200 };
+    let cfg = ControllerConfig { n_epochs, ..*cfg };
+    let n_down = (inst.n_aps() / 20).max(1);
+    let plan = FaultPlan {
+        seed: 0,
+        ap_outages: (0..n_down as u32)
+            .map(|a| ApOutage {
+                ap: ApId(a),
+                down_at_us: n_epochs / 4 * cfg.epoch_us,
+                up_at_us: Some(n_epochs / 2 * cfg.epoch_us),
+            })
+            .collect(),
+        churn: ChurnModel {
+            jump_prob: 0.2,
+            departure_prob: 0.1,
+            link_keep_prob: 0.6,
+            ..ChurnModel::none()
+        },
+        ..FaultPlan::none()
+    };
+    let mut queue = lower_plan(inst, &plan, &cfg)?;
+    let mut clock = EpochClock {
+        events: mcast_events::MemoryPublisher::default(),
+        syncs: Vec::with_capacity(n_epochs as usize),
+    };
+    let started = Instant::now();
+    let (live, stats) = serve(inst, &mut queue, &cfg, plan.link_keep_prob(), &mut clock)?;
+    let mut epoch_ms: Vec<f64> = std::iter::once(started)
+        .chain(clock.syncs.iter().copied())
+        .zip(clock.syncs.iter())
+        .map(|(from, to)| (*to - from).as_secs_f64() * 1e3)
+        .collect();
+    epoch_ms.sort_by(f64::total_cmp);
+    Ok(ChurnedServeBench {
+        workload: format!(
+            "{} APs / {} users joined at t = 0, {n_down} APs down over \
+             epochs {}..{}, jump 0.2 / depart 0.1 / keep 0.6, MNU repair policy",
+            inst.n_aps(),
+            inst.n_users(),
+            n_epochs / 4,
+            n_epochs / 2
+        ),
+        epochs: n_epochs,
+        fault_events: stats.fault_events,
+        epoch_p50_ms: epoch_ms[(epoch_ms.len() - 1) / 2],
+        replay_identical: replays_identically(inst, &live, &clock.events.events)?,
     })
 }
 
@@ -856,34 +981,79 @@ fn outcomes_equal(a: &DistributedOutcome, b: &DistributedOutcome) -> bool {
         && a.cycle_detected == b.cycle_detected
 }
 
+/// Every name `repro bench --suite` accepts.
+pub const SUITES: [&str; 6] = [
+    "default",
+    "scale",
+    "greedy",
+    "topology",
+    "distributed",
+    "controller",
+];
+
 /// Runs the selected suite. The default suite writes
 /// `BENCH_greedy.json` / `BENCH_topology.json` /
 /// `BENCH_distributed.json` / `BENCH_controller.json` into the current
-/// directory; `--suite scale` writes `BENCH_scale.json`. Returns a
-/// printable summary.
+/// directory; `--suite greedy|topology|distributed|controller` writes
+/// that one report, and `--suite scale` writes `BENCH_scale.json`.
+/// Returns a printable summary.
 ///
 /// # Errors
 ///
 /// Returns an error string when a report file cannot be written, an
 /// equivalence check failed, or the suite name is unknown.
 pub fn run(opts: &Options) -> Result<String, String> {
-    match opts.bench_suite.as_deref() {
-        None | Some("default") => run_default(opts),
-        Some("scale") => run_scale(opts),
-        Some(other) => Err(format!(
-            "unknown bench suite '{other}' (expected 'default' or 'scale')"
-        )),
+    let suites: &[&str] = match opts.bench_suite.as_deref() {
+        None | Some("default") => &SUITES[2..],
+        Some("scale") => return run_scale(opts),
+        Some(name) => match SUITES.iter().position(|&s| s == name) {
+            Some(i) => &SUITES[i..=i],
+            None => {
+                return Err(format!(
+                    "unknown bench suite '{name}' (expected one of {})",
+                    SUITES.join(", ")
+                ))
+            }
+        },
+    };
+    let mut out = String::new();
+    let mut all_identical = true;
+    for &suite in suites {
+        all_identical &= match suite {
+            "greedy" => write_bench_report("BENCH_greedy.json", &greedy_report(opts), &mut out)?,
+            "topology" => {
+                write_bench_report("BENCH_topology.json", &topology_report(opts), &mut out)?
+            }
+            "distributed" => write_bench_report(
+                "BENCH_distributed.json",
+                &distributed_report(opts),
+                &mut out,
+            )?,
+            _ => write_controller_report(opts, &mut out)?,
+        };
     }
+    if all_identical {
+        Ok(out)
+    } else {
+        Err(format!(
+            "fast path diverged from reference:\n{out}\nThis is a correctness bug — see crates/covering/src/reference.rs"
+        ))
+    }
+}
+
+/// Serializes `report` to `path` atomically.
+fn write_json(path: &str, report: &impl Serialize) -> Result<(), String> {
+    let json =
+        serde_json::to_string_pretty(report).map_err(|e| format!("serialize {path}: {e}"))?;
+    crate::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
+        .map_err(|e| format!("write {path}: {e}"))
 }
 
 /// The scale suite: writes `BENCH_scale.json`.
 fn run_scale(opts: &Options) -> Result<String, String> {
     let path = "BENCH_scale.json";
     let report = scale_report(opts);
-    let json =
-        serde_json::to_string_pretty(&report).map_err(|e| format!("serialize {path}: {e}"))?;
-    crate::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
-        .map_err(|e| format!("write {path}: {e}"))?;
+    write_json(path, &report)?;
     let rss = report.peak_rss_bytes.map_or("n/a".to_string(), |b| {
         format!("{:.0} MiB", b as f64 / (1 << 20) as f64)
     });
@@ -907,65 +1077,48 @@ fn run_scale(opts: &Options) -> Result<String, String> {
     ))
 }
 
-/// The default suite: the four fast-vs-reference reports.
-fn run_default(opts: &Options) -> Result<String, String> {
-    let mut out = String::new();
-    let mut all_identical = true;
-    for (path, report) in [
-        ("BENCH_greedy.json", greedy_report(opts)),
-        ("BENCH_topology.json", topology_report(opts)),
-        ("BENCH_distributed.json", distributed_report(opts)),
-    ] {
-        let json =
-            serde_json::to_string_pretty(&report).map_err(|e| format!("serialize {path}: {e}"))?;
-        crate::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
-            .map_err(|e| format!("write {path}: {e}"))?;
-        out.push_str(&format!("{path}:\n"));
-        for (key, b) in &report.benches {
-            all_identical &= b.outputs_identical;
-            out.push_str(&format!(
-                "  {key:<14} {:>9.1} ms -> {:>8.1} ms  ({:>5.1}x, outputs {})\n",
-                b.reference_ms,
-                b.fast_ms,
-                b.speedup,
-                if b.outputs_identical {
-                    "identical"
-                } else {
-                    "DIFFER"
-                }
-            ));
-        }
-    }
-    {
-        let path = "BENCH_controller.json";
-        let report = controller_report(opts)?;
-        let json =
-            serde_json::to_string_pretty(&report).map_err(|e| format!("serialize {path}: {e}"))?;
-        crate::journal::atomic_write(std::path::Path::new(path), json.as_bytes())
-            .map_err(|e| format!("write {path}: {e}"))?;
-        all_identical &= report.replay_identical;
+/// Writes one fast-vs-reference report and appends its summary to
+/// `out`. Returns whether every fast path matched its reference.
+fn write_bench_report(path: &str, report: &BenchReport, out: &mut String) -> Result<bool, String> {
+    write_json(path, report)?;
+    out.push_str(&format!("{path}:\n"));
+    for (key, b) in &report.benches {
         out.push_str(&format!(
-            "{path}:\n  {:<14} {:>9.0} joins/s  (p50 {:.1} µs, p95 {:.1} µs, \
-             p99 {:.1} µs, replay {})\n",
-            "serve",
-            report.joins_per_sec,
-            report.decision_latency.p50_us,
-            report.decision_latency.p95_us,
-            report.decision_latency.p99_us,
-            if report.replay_identical {
+            "  {key:<14} {:>9.1} ms -> {:>8.1} ms  ({:>5.1}x, outputs {})\n",
+            b.reference_ms,
+            b.fast_ms,
+            b.speedup,
+            if b.outputs_identical {
                 "identical"
             } else {
-                "DIFFERS"
+                "DIFFER"
             }
         ));
     }
-    if all_identical {
-        Ok(out)
-    } else {
-        Err(format!(
-            "fast path diverged from reference:\n{out}\nThis is a correctness bug — see crates/covering/src/reference.rs"
-        ))
-    }
+    Ok(report.benches.values().all(|b| b.outputs_identical))
+}
+
+/// Writes `BENCH_controller.json` and appends its summary to `out`.
+/// Returns whether both event streams replayed identically.
+fn write_controller_report(opts: &Options, out: &mut String) -> Result<bool, String> {
+    let path = "BENCH_controller.json";
+    let report = controller_report(opts)?;
+    write_json(path, &report)?;
+    let replay = |identical: bool| if identical { "identical" } else { "DIFFERS" };
+    out.push_str(&format!(
+        "{path}:\n  {:<14} {:>9.0} joins/s  (p50 {:.1} µs, p95 {:.1} µs, \
+         p99 {:.1} µs, replay {})\n  {:<14} {:>9.2} ms/epoch p50  (replay {})\n",
+        "serve",
+        report.joins_per_sec,
+        report.decision_latency.p50_us,
+        report.decision_latency.p95_us,
+        report.decision_latency.p99_us,
+        replay(report.replay_identical),
+        "serve_churned",
+        report.churned.epoch_p50_ms,
+        replay(report.churned.replay_identical),
+    ));
+    Ok(report.replay_identical && report.churned.replay_identical)
 }
 
 fn greedy_set_cover_ref(
@@ -1073,9 +1226,14 @@ mod tests {
             ..Options::default()
         };
         let c = controller_report(&opts).expect("service runs");
-        assert_eq!(c.schema, "mcast-bench-controller/v2");
+        assert_eq!(c.schema, "mcast-bench-controller/v3");
         assert_eq!(c.joins, 2_000, "every staggered join is admitted");
         assert!(c.replay_identical, "event stream must fold back exactly");
+        assert!(c.host_threads >= 1);
+        assert_eq!(c.churned.epochs, 20);
+        assert!(c.churned.fault_events > 0, "the churned run carries faults");
+        assert!(c.churned.epoch_p50_ms > 0.0);
+        assert!(c.churned.replay_identical, "churned stream must fold back");
         assert!(c.joins_per_sec > 0.0);
         assert!(c.decision_latency.p50_us <= c.decision_latency.p99_us);
         assert!(c.decision_latency.p99_us <= c.decision_latency.max_us);

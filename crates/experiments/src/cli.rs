@@ -214,11 +214,12 @@ pub fn validate_suite(command: &str, suite: Option<&str>) -> Result<(), FlagErro
             flag: "--suite".to_string(),
             reason: "only `bench` has named suites",
         }),
-        Some("default") | Some("scale") => Ok(()),
+        Some(name) if crate::bench::SUITES.contains(&name) => Ok(()),
         Some(_) => Err(FlagError {
             command: command.to_string(),
             flag: "--suite".to_string(),
-            reason: "expected `default` or `scale`",
+            reason:
+                "expected `default`, `scale`, `greedy`, `topology`, `distributed` or `controller`",
         }),
     }
 }
@@ -520,6 +521,26 @@ mod tests {
 
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("mcast_cli_{name}_{}", std::process::id()))
+    }
+
+    #[test]
+    fn every_bench_suite_is_accepted_and_named_in_the_error() {
+        for name in crate::bench::SUITES {
+            assert!(validate_suite("bench", Some(name)).is_ok(), "{name}");
+        }
+        let err = validate_suite("bench", Some("nope")).unwrap_err();
+        for name in crate::bench::SUITES {
+            assert!(err.reason.contains(&format!("`{name}`")), "{name}");
+        }
+        assert!(validate_suite("fig9", Some("greedy")).is_err());
+        let run_err = crate::bench::run(&crate::Options {
+            bench_suite: Some("nope".to_string()),
+            ..crate::Options::default()
+        })
+        .unwrap_err();
+        for name in crate::bench::SUITES {
+            assert!(run_err.contains(name), "{run_err}");
+        }
     }
 
     #[test]

@@ -59,8 +59,9 @@ pub struct Options {
     /// default.
     pub checkpoint_every: Option<usize>,
     /// Bench suite for `repro bench` (`--suite NAME`): `None`/`default`
-    /// runs the four fast-vs-reference reports, `scale` runs the
-    /// million-user end-to-end pass ([`bench::scale_report`]).
+    /// runs the four fast-vs-reference reports, `greedy`, `topology`,
+    /// `distributed` or `controller` runs one of them, and `scale` runs
+    /// the million-user end-to-end pass ([`bench::scale_report`]).
     pub bench_suite: Option<String>,
     /// Seed of the injected IO-fault plan for `repro serve`
     /// (`--io-chaos SEED`); `None` runs with a clean sink.

@@ -21,7 +21,8 @@
 //!   chaos       fault-injected partitioned run; proves recovery is exact
 //!   revenue     the §3.2 revenue models across algorithms
 //!   bench       time fast paths vs reference, write BENCH_*.json
-//!               (--suite scale: million-user end-to-end pass -> BENCH_scale.json)
+//!               (--suite scale: million-user end-to-end pass -> BENCH_scale.json;
+//!                --suite greedy|topology|distributed|controller: that report alone)
 //!   gen/solve   write a scenario JSON / run one algorithm on it
 //!   compare     diff two results/ CSV directories (regression check)
 //!   validate    simulator vs analytic cross-checks
