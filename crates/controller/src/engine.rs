@@ -61,13 +61,7 @@ pub(crate) struct EpochEngine<'a> {
     records: Vec<crate::report::EpochRecord>,
     violations_sample: Vec<String>,
     /// Users whose AP changed since the last epoch closed.
-    touched_bits: UserBits,
-    /// The same users in the order first touched, while they fit the
-    /// list's fixed capacity (a bitmap word's worth of the population):
-    /// sorting a few ids beats walking the bitmap, sorting many does
-    /// not. Past capacity the list stops and `touched_many` is set.
-    touched: Vec<UserId>,
-    touched_many: bool,
+    touched: UserBits,
     /// Each touched user's AP when the epoch began (stale for the rest).
     /// The same size as the association snapshot it replaced, and
     /// likewise allocated once.
@@ -112,9 +106,7 @@ impl<'a> EpochEngine<'a> {
             rule: CoverageRule::Exact,
             records: Vec::with_capacity(cfg.n_epochs as usize),
             violations_sample: Vec::new(),
-            touched_bits: UserBits::new(n_users),
-            touched: Vec::with_capacity(n_users / 64 + 1),
-            touched_many: false,
+            touched: UserBits::new(n_users),
             epoch_start: vec![None; n_users],
             unplaced: Vec::new(),
             listed: UserBits::new(n_users),
@@ -183,13 +175,8 @@ impl<'a> EpochEngine<'a> {
     /// Only the first call per epoch counts: later ones find the user
     /// already recorded with its AP at epoch start.
     fn touch(&mut self, u: UserId, before: Option<ApId>) {
-        if self.touched_bits.insert(u.index()) {
+        if self.touched.insert(u.index()) {
             self.epoch_start[u.index()] = before;
-            if self.touched.len() < self.touched.capacity() {
-                self.touched.push(u);
-            } else {
-                self.touched_many = true;
-            }
         }
     }
 
@@ -387,7 +374,7 @@ impl<'a> EpochEngine<'a> {
         let (changes, handoffs) = self.close_diff();
 
         // ---- audit --------------------------------------------------
-        let violations = audit_epoch(
+        let mut violations = audit_epoch(
             &self.ledger,
             &self.state,
             cfg.objective,
@@ -395,18 +382,10 @@ impl<'a> EpochEngine<'a> {
             &self.deferred,
             self.check_oracle,
         );
-        debug_assert!(violations.is_empty(), "epoch {epoch}: {violations:?}");
         if self.check_oracle {
-            debug_assert_eq!(
-                self.satisfied,
-                self.ledger.association().satisfied_count(),
-                "epoch {epoch}: satisfied count drifted"
-            );
-            debug_assert!(
-                self.unplaced_is_exact(),
-                "epoch {epoch}: the admission list is not the unplaced set"
-            );
+            self.check_bookkeeping(&mut violations);
         }
+        debug_assert!(violations.is_empty(), "epoch {epoch}: {violations:?}");
         for v in &violations {
             if self.violations_sample.len() < 8 {
                 self.violations_sample.push(format!("epoch {epoch}: {v}"));
@@ -458,20 +437,27 @@ impl<'a> EpochEngine<'a> {
                 }
             }
         };
-        if self.touched_many {
-            self.touched_bits.for_each(|i| diff(UserId(i as u32)));
-            self.touched_bits.clear();
-        } else {
-            self.touched.sort_unstable();
-            self.touched.iter().for_each(|&u| diff(u));
-            for &u in &self.touched {
-                self.touched_bits.remove(u.index());
-            }
-        }
+        self.touched.for_each(|i| diff(UserId(i as u32)));
         self.touched.clear();
-        self.touched_many = false;
         self.satisfied = satisfied;
         (changes, handoffs)
+    }
+
+    /// The oracle for the engine's own running state: reports the
+    /// `satisfied` count or the admission list disagreeing with a
+    /// from-scratch look at the population.
+    #[cold]
+    fn check_bookkeeping(&self, violations: &mut Vec<String>) {
+        let recount = self.ledger.association().satisfied_count();
+        if self.satisfied != recount {
+            violations.push(format!(
+                "running satisfied count {} drifted from the recount {recount}",
+                self.satisfied
+            ));
+        }
+        if !self.unplaced_is_exact() {
+            violations.push("the admission list is not the present, unassociated set".into());
+        }
     }
 
     /// True if the admission list holds exactly the present, unassociated

@@ -991,6 +991,13 @@ pub const SUITES: [&str; 6] = [
     "controller",
 ];
 
+/// [`SUITES`] as error messages list them: "`default`, … or `controller`".
+pub fn suite_names() -> String {
+    let quoted: Vec<String> = SUITES.iter().map(|s| format!("`{s}`")).collect();
+    let (last, rest) = quoted.split_last().expect("SUITES is not empty");
+    format!("{} or {last}", rest.join(", "))
+}
+
 /// Runs the selected suite. The default suite writes
 /// `BENCH_greedy.json` / `BENCH_topology.json` /
 /// `BENCH_distributed.json` / `BENCH_controller.json` into the current
@@ -1010,8 +1017,8 @@ pub fn run(opts: &Options) -> Result<String, String> {
             Some(i) => &SUITES[i..=i],
             None => {
                 return Err(format!(
-                    "unknown bench suite '{name}' (expected one of {})",
-                    SUITES.join(", ")
+                    "unknown bench suite '{name}' (expected {})",
+                    suite_names()
                 ))
             }
         },

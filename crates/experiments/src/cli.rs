@@ -13,7 +13,7 @@ pub struct FlagError {
     /// The offending flag, as typed (`--plot`, `--resume`).
     pub flag: String,
     /// Why the combination is meaningless.
-    pub reason: &'static str,
+    pub reason: String,
 }
 
 impl std::fmt::Display for FlagError {
@@ -162,14 +162,14 @@ pub fn validate_threads(command: &str, threads: Option<usize>) -> Result<(), Fla
         return Err(FlagError {
             command: command.to_string(),
             flag: "--threads".to_string(),
-            reason: "worker count must be at least 1",
+            reason: "worker count must be at least 1".to_string(),
         });
     }
     if !THREADED.contains(&command) {
         return Err(FlagError {
             command: command.to_string(),
             flag: "--threads".to_string(),
-            reason: "it runs no parallel work",
+            reason: "it runs no parallel work".to_string(),
         });
     }
     Ok(())
@@ -187,14 +187,14 @@ pub fn validate_flags(command: &str, plot: bool, resume: bool) -> Result<(), Fla
         return Err(FlagError {
             command: command.to_string(),
             flag: "--plot".to_string(),
-            reason: "it renders no figure series to plot",
+            reason: "it renders no figure series to plot".to_string(),
         });
     }
     if resume && !RESUMABLE.contains(&command) {
         return Err(FlagError {
             command: command.to_string(),
             flag: "--resume".to_string(),
-            reason: "it keeps no trial journal to resume from",
+            reason: "it keeps no trial journal to resume from".to_string(),
         });
     }
     Ok(())
@@ -212,14 +212,13 @@ pub fn validate_suite(command: &str, suite: Option<&str>) -> Result<(), FlagErro
         Some(_) if command != "bench" => Err(FlagError {
             command: command.to_string(),
             flag: "--suite".to_string(),
-            reason: "only `bench` has named suites",
+            reason: "only `bench` has named suites".to_string(),
         }),
         Some(name) if crate::bench::SUITES.contains(&name) => Ok(()),
         Some(_) => Err(FlagError {
             command: command.to_string(),
             flag: "--suite".to_string(),
-            reason:
-                "expected `default`, `scale`, `greedy`, `topology`, `distributed` or `controller`",
+            reason: format!("expected {}", crate::bench::suite_names()),
         }),
     }
 }
@@ -240,7 +239,7 @@ pub fn validate_recovery_flags(
         return Err(FlagError {
             command: command.to_string(),
             flag: "--chaos".to_string(),
-            reason: "it runs no supervised engine to inject faults into",
+            reason: "it runs no supervised engine to inject faults into".to_string(),
         });
     }
     if let Some(k) = checkpoint_every {
@@ -248,14 +247,14 @@ pub fn validate_recovery_flags(
             return Err(FlagError {
                 command: command.to_string(),
                 flag: "--checkpoint-every".to_string(),
-                reason: "the snapshot cadence must be at least 1 round",
+                reason: "the snapshot cadence must be at least 1 round".to_string(),
             });
         }
         if !CHECKPOINTED.contains(&command) {
             return Err(FlagError {
                 command: command.to_string(),
                 flag: "--checkpoint-every".to_string(),
-                reason: "it writes no recovery snapshots",
+                reason: "it writes no recovery snapshots".to_string(),
             });
         }
     }
@@ -282,7 +281,7 @@ pub fn validate_io_chaos(
         return Err(FlagError {
             command: command.to_string(),
             flag: "--io-chaos".to_string(),
-            reason: "it streams no event log to inject IO faults into",
+            reason: "it streams no event log to inject IO faults into".to_string(),
         });
     }
     if checkpoint_every.is_some() {
@@ -290,7 +289,8 @@ pub fn validate_io_chaos(
             command: command.to_string(),
             flag: "--io-chaos".to_string(),
             reason:
-                "a faulted sink cannot back byte-positioned checkpoints; drop --checkpoint-every",
+                "a faulted sink cannot back byte-positioned checkpoints; drop --checkpoint-every"
+                    .to_string(),
         });
     }
     Ok(())
@@ -695,7 +695,7 @@ mod tests {
         let flag: CliError = FlagError {
             command: "serve".into(),
             flag: "--plot".into(),
-            reason: "nope",
+            reason: "nope".to_string(),
         }
         .into();
         assert_eq!(flag.exit_code(), 2);
